@@ -8,8 +8,9 @@ so no overflow handling is needed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -66,28 +67,29 @@ class NegativityResult:
     vacuous: bool
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Bareiss elimination."""
-    size = len(rows)
-    if size == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
+def _leading_minors(gram: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Yield the leading principal minors D_1, D_2, ... of a square matrix.
+
+    One fraction-free Bareiss pass without pivoting (Bareiss 1968): once k
+    elimination steps are done, the pivot m[k][k] (0-based) is D_{k+1}, and
+    every division is exact.  The pass stops right after yielding a zero
+    minor, the first pivot it could not divide by.
+    """
+    m = [list(row) for row in gram]
+    size = len(m)
     prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    for k in range(size):
+        pivot = m[k][k]
+        yield pivot
+        if pivot == 0:
+            return
+        row_k = m[k]
         for i in range(k + 1, size):
+            row_i = m[i]
+            factor = row_i[k]
             for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+        prev = pivot
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ class BlownHirzebruch:
         n = self.hirzebruch_index
         value = -n * a.coeffs[0] * b.coeffs[0]
         value += a.coeffs[0] * b.coeffs[1] + a.coeffs[1] * b.coeffs[0]
-        value -= sum(x * y for x, y in zip(a.coeffs[2:], b.coeffs[2:]))
+        value -= sum(map(operator.mul, a.coeffs[2:], b.coeffs[2:]))
         return value
 
     def gram(self, classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
@@ -191,7 +193,10 @@ class BlownHirzebruch:
         """Mutual Gram matrix plus a leading-principal-minor definiteness test.
 
         Negative definite means the minors alternate in sign starting negative.
-        An empty family is vacuously negative definite and flagged as such.
+        One Bareiss pass over the Gram matrix yields every leading minor in
+        turn, and the test stops at the first minor that breaks the sign
+        pattern.  An empty family is vacuously negative definite and flagged
+        as such.
         """
         family = tuple(classes)
         if len({c.coeffs for c in family}) != len(family):
@@ -199,11 +204,8 @@ class BlownHirzebruch:
         if not family:
             return NegativityResult((), True, True)
         gram = self.gram(family)
-        rows = [list(r) for r in gram]
-        definite = True
-        for size in range(1, len(family) + 1):
-            minor = _int_det([row[:size] for row in rows[:size]])
-            if (-1) ** size * minor <= 0:
-                definite = False
-                break
+        definite = all(
+            (-1) ** size * minor > 0
+            for size, minor in enumerate(_leading_minors(gram), start=1)
+        )
         return NegativityResult(gram, definite, False)

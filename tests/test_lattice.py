@@ -6,6 +6,8 @@ Core claims:
     - blow-up raises the rank by one and total transforms preserve pairings
     - the basis Gram matrix has determinant (-1)^(k+1) and signature (1, k+1)
     - the leading-minor definiteness test agrees with an exact sympy oracle
+    - on a chain's tridiagonal Gram matrix the leading minors are signed
+      Hirzebruch-Jung continuants
 """
 
 import pytest
@@ -13,7 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horikawa.lattice import BlownHirzebruch, DivisorClass, _int_det
+from horikawa.lattice import BlownHirzebruch, DivisorClass, _leading_minors
+from horikawa.pipeline import build_en_configuration
 
 
 def surfaces(max_n: int = 6, max_k: int = 5):
@@ -150,7 +153,7 @@ def test_basis_gram_determinant_and_signature(surface):
     basis += [surface.exceptional(i) for i in range(1, surface.blowup_count + 1)]
     gram = surface.gram(basis)
     rows = [list(r) for r in gram]
-    assert _int_det(rows) == (-1) ** (surface.blowup_count + 1)
+    assert sympy.Matrix(rows).det() == (-1) ** (surface.blowup_count + 1)
     eigenvalues = sympy.Matrix(rows).eigenvals()
     positive = sum(mult for value, mult in eigenvalues.items() if value > 0)
     negative = sum(mult for value, mult in eigenvalues.items() if value < 0)
@@ -165,8 +168,13 @@ def test_basis_gram_determinant_and_signature(surface):
         max_size=size,
     )
 ))
-def test_int_det_matches_sympy(rows):
-    assert _int_det([row[:] for row in rows]) == sympy.Matrix(rows).det()
+def test_leading_minors_match_sympy(rows):
+    expected = []
+    for size in range(1, len(rows) + 1):
+        expected.append(sympy.Matrix([row[:size] for row in rows[:size]]).det())
+        if expected[-1] == 0:
+            break
+    assert list(_leading_minors(rows)) == expected
 
 
 # -- negativity check ----------------------------------------------------------
@@ -214,3 +222,35 @@ def test_negativity_matches_sympy_oracle(data):
     result = surface.negativity_check(family)
     oracle = sympy.Matrix([list(r) for r in result.gram]).is_negative_definite
     assert result.negative_definite == bool(oracle)
+
+
+def chain_gram(chain):
+    size = len(chain)
+    return [
+        [-chain[i] if i == j else 1 if abs(i - j) == 1 else 0 for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def signed_continuants(chain):
+    """(-1)^k K(b_1..b_k) for k = 1..r, with K_k = b_k K_{k-1} - K_{k-2}."""
+    before, current = 0, 1
+    signed = []
+    for k, b in enumerate(chain, start=1):
+        before, current = current, b * current - before
+        signed.append((-1) ** k * current)
+    return signed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=60))
+def test_chain_gram_minors_are_signed_continuants(chain):
+    assert list(_leading_minors(chain_gram(chain))) == signed_continuants(chain)
+
+
+def test_long_configuration_chain_is_negative_definite():
+    cfg = build_en_configuration(150)
+    result = cfg.surface.negativity_check(cfg.chain_classes)
+    chain = (150,) + (2,) * 146
+    assert result.gram == tuple(tuple(row) for row in chain_gram(chain))
+    assert result.negative_definite and not result.vacuous
