@@ -59,10 +59,11 @@ def discrepancies(chain: ResolutionChain) -> tuple[Fraction, ...]:
 
 def k2_correction(chain: ResolutionChain) -> Fraction:
     """Increase of K^2 when the chain contracts: sum_i d_i*(b_i - 2)."""
-    return sum(
-        (d * (bi - 2) for d, bi in zip(discrepancies(chain), chain.b)),
-        start=Fraction(0),
-    )
+    return _k2_from_discrepancies(chain, discrepancies(chain))
+
+
+def _k2_from_discrepancies(chain: ResolutionChain, disc: Sequence[Fraction]) -> Fraction:
+    return sum((d * (bi - 2) for d, bi in zip(disc, chain.b)), start=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ class ContractionSet:
 
     Construction verifies the plumbing shape (consecutive classes meet once,
     all other pairs are orthogonal, self-intersections are -b_i <= -2) and
-    classifies each chain; chains outside class T are rejected.
+    classifies each chain; chains outside class T are rejected.  The shape
+    is read off each chain's Gram matrix, `surface.gram(chain)`; only the
+    disjointness of different chains is paired class by class.
     """
 
     surface: BlownHirzebruch
@@ -85,18 +88,19 @@ class ContractionSet:
         for chain in self.chains:
             if not chain:
                 raise ValueError("empty chain in contraction set")
+            gram = self.surface.gram(chain)
             b = []
-            for c in chain:
-                self_int = pair(c, c)
+            for i, row in enumerate(gram):
+                self_int = row[i]
                 if self_int > -2:
                     raise ValueError(
                         f"chain class with self-intersection {self_int}; need <= -2"
                     )
                 b.append(-self_int)
-            for i in range(len(chain)):
-                for j in range(i + 1, len(chain)):
+            for i, row in enumerate(gram):
+                for j in range(i + 1, len(row)):
                     expected = 1 if j == i + 1 else 0
-                    got = pair(chain[i], chain[j])
+                    got = row[j]
                     if got != expected:
                         raise ValueError(
                             f"chain positions {i} and {j} pair to {got}, expected {expected}"
@@ -158,7 +162,7 @@ def smoothing_invariants(
         if cls.kind != CLASS_T:
             raise ValueError(f"chain {cls.chain.b} is not of class T")
         disc = discrepancies(cls.chain)
-        correction = k2_correction(cls.chain)
+        correction = _k2_from_discrepancies(cls.chain, disc)
         drop = len(cls.chain) + 1 - cls.tdata.d
         contributions.append(
             ChainContribution(

@@ -74,22 +74,44 @@ def _leading_minors(gram: Sequence[Sequence[int]]) -> Iterator[int]:
     elimination steps are done, the pivot m[k][k] (0-based) is D_{k+1}, and
     every division is exact.  The pass stops right after yielding a zero
     minor, the first pivot it could not divide by.
+
+    A row whose entry in the pivot column is zero would only be rescaled by
+    D_{k+1}/D_k at that step, so it is left alone and tagged with the step it
+    is valid at.  Rescalings telescope: a row valid at step t is brought up to
+    step k, when a later step reads it as a non-zero factor or as the pivot
+    row, by one exact x * D_k // D_t per entry, since x * D_k / D_t is itself
+    an entry of the step-k Bareiss matrix.  On sparse matrices such as a
+    chain's tridiagonal Gram matrix most rows wait, and the pass does
+    quadratic work instead of cubic.
     """
     m = [list(row) for row in gram]
     size = len(m)
-    prev = 1
+    minors = [1]  # minors[t] is D_t
+    valid_at = [0] * size  # row i holds the step-valid_at[i] Bareiss row
     for k in range(size):
-        pivot = m[k][k]
+        prev = minors[k]
+        row_k = m[k]
+        then = minors[valid_at[k]]
+        if then != prev:
+            for j in range(k, size):
+                row_k[j] = row_k[j] * prev // then
+        pivot = row_k[k]
         yield pivot
         if pivot == 0:
             return
-        row_k = m[k]
         for i in range(k + 1, size):
             row_i = m[i]
+            if row_i[k] == 0:
+                continue
+            then = minors[valid_at[i]]
+            if then != prev:
+                for j in range(k, size):
+                    row_i[j] = row_i[j] * prev // then
             factor = row_i[k]
             for j in range(k + 1, size):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
+            valid_at[i] = k + 1
+        minors.append(pivot)
 
 
 @dataclass(frozen=True)
@@ -160,7 +182,38 @@ class BlownHirzebruch:
         return value
 
     def gram(self, classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.pairing(a, b) for b in classes) for a in classes)
+        """Mutual pairings of a family, the same numbers as `pairing` gives.
+
+        Each unordered pair is computed once and mirrored.  The exceptional
+        block of the basis Gram matrix is -identity, so a pair sums only over
+        the exceptional indices where both classes are nonzero; every named
+        class on Z_n has at most three nonzero exceptional coefficients.
+        """
+        n = self.hirzebruch_index
+        heads = []
+        tails = []
+        for c in classes:
+            if len(c.coeffs) != self.rank:
+                raise ValueError(
+                    f"class of length {len(c.coeffs)} on a rank {self.rank} lattice"
+                )
+            heads.append(c.coeffs[:2])
+            tails.append({i: x for i, x in enumerate(c.coeffs[2:], 2) if x})
+        size = len(heads)
+        rows = [[0] * size for _ in range(size)]
+        for i in range(size):
+            a0, a1 = heads[i]
+            tail_a = tails[i]
+            row_i = rows[i]
+            for j in range(i, size):
+                b0, b1 = heads[j]
+                tail_b = tails[j]
+                value = -n * a0 * b0 + a0 * b1 + a1 * b0
+                for idx in tail_a.keys() & tail_b.keys():
+                    value -= tail_a[idx] * tail_b[idx]
+                row_i[j] = value
+                rows[j][i] = value
+        return tuple(map(tuple, rows))
 
     def canonical_class(self) -> DivisorClass:
         """K = -2*C0 - (n+2)*f + e1 + ... + ek."""

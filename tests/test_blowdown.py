@@ -157,13 +157,13 @@ def test_configuration_chain_forms_a_contraction_set():
 def test_contraction_set_rejects_broken_adjacency():
     cfg = build_en_configuration(6)
     shuffled = (cfg.chain_classes[1], cfg.chain_classes[0], cfg.chain_classes[2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pair to"):
         ContractionSet(cfg.surface, (shuffled,))
 
 
 def test_contraction_set_rejects_minus_one_classes():
     cfg = build_en_configuration(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-intersection"):
         ContractionSet(cfg.surface, ((cfg.E1,),))
 
 

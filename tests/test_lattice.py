@@ -5,14 +5,17 @@ Core claims:
     - canonical classes satisfy K^2 = 8 - k and adjunction degrees are even
     - blow-up raises the rank by one and total transforms preserve pairings
     - the basis Gram matrix has determinant (-1)^(k+1) and signature (1, k+1)
-    - the leading-minor definiteness test agrees with an exact sympy oracle
+    - the Gram matrix of any family, dense or sparse, matches pairing entry
+      by entry
+    - the leading-minor definiteness test agrees with an exact sympy oracle,
+      also on sparse matrices where the Bareiss pass defers rows
     - on a chain's tridiagonal Gram matrix the leading minors are signed
       Hirzebruch-Jung continuants
 """
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horikawa.lattice import BlownHirzebruch, DivisorClass, _leading_minors
@@ -147,6 +150,42 @@ def test_total_transform_of_fiber_stays_square_zero():
 
 # -- Gram matrix shape ---------------------------------------------------------
 
+@st.composite
+def surface_with_family(draw):
+    """A surface and a family mixing dense, sparse and zero classes."""
+    surface = draw(surfaces(max_k=10))
+    k = surface.blowup_count
+    coefficient = st.integers(-9, 9)
+    dense = st.lists(coefficient, min_size=surface.rank, max_size=surface.rank)
+    family = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "sparse", "zero"]), max_size=8)):
+        if kind == "dense":
+            family.append(DivisorClass(tuple(draw(dense))))
+        elif kind == "sparse":
+            tail = [0] * k
+            for i in draw(st.lists(st.integers(0, k - 1), max_size=3)) if k else []:
+                tail[i] = draw(coefficient)
+            family.append(surface.divisor(draw(coefficient), draw(coefficient), *tail))
+        else:
+            family.append(surface.zero())
+    return surface, family
+
+
+@given(surface_with_family())
+def test_gram_matches_pairing(data):
+    surface, family = data
+    gram = surface.gram(family)
+    assert len(gram) == len(family)
+    for row, a in zip(gram, family):
+        assert row == tuple(surface.pairing(a, b) for b in family)
+
+
+def test_gram_rank_mismatch_raises():
+    surface = BlownHirzebruch(2, 1)
+    with pytest.raises(ValueError, match="rank 3 lattice"):
+        surface.gram([surface.c0(), DivisorClass((1, 0))])
+
+
 @given(surfaces())
 def test_basis_gram_determinant_and_signature(surface):
     basis = [surface.c0(), surface.fiber()]
@@ -160,6 +199,16 @@ def test_basis_gram_determinant_and_signature(surface):
     assert (positive, negative) == (1, surface.blowup_count + 1)
 
 
+def sympy_leading_minors(rows):
+    """Leading principal minors up to and including the first zero."""
+    minors = []
+    for size in range(1, len(rows) + 1):
+        minors.append(sympy.Matrix([row[:size] for row in rows[:size]]).det())
+        if minors[-1] == 0:
+            break
+    return minors
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 5).flatmap(
     lambda size: st.lists(
@@ -169,12 +218,30 @@ def test_basis_gram_determinant_and_signature(surface):
     )
 ))
 def test_leading_minors_match_sympy(rows):
-    expected = []
-    for size in range(1, len(rows) + 1):
-        expected.append(sympy.Matrix([row[:size] for row in rows[:size]]).det())
-        if expected[-1] == 0:
-            break
-    assert list(_leading_minors(rows)) == expected
+    assert list(_leading_minors(rows)) == sympy_leading_minors(rows)
+
+
+@st.composite
+def sparse_square_matrices(draw):
+    """Square matrices up to 8x8 with a drawn share of zero entries."""
+    size = draw(st.integers(1, 8))
+    zero_quarters = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            zero = draw(st.integers(0, 3)) < zero_quarters
+            row.append(0 if zero else draw(st.integers(-9, 9)))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_square_matrices())
+# row 2 waits two steps and then pivots; row 3 waits one step and is then a factor
+@example([[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 5, 1], [0, 1, 1, 4]])
+def test_leading_minors_match_sympy_on_sparse_matrices(rows):
+    assert list(_leading_minors(rows)) == sympy_leading_minors(rows)
 
 
 # -- negativity check ----------------------------------------------------------
