@@ -2,7 +2,8 @@
 
 Integer Picard-lattice arithmetic on blown-up Hirzebruch surfaces, the
 Hirzebruch-Jung / class-T chain calculus, double-cover invariants, rational
-blow-down invariant bookkeeping, and the report pipeline tying them together.
+blow-down invariant bookkeeping, the pipeline tying them together, and the
+report every run prints.
 """
 
 from .blowdown import (
@@ -43,18 +44,15 @@ from .covers import (
 )
 from .lattice import BlownHirzebruch, DivisorClass, NegativityResult
 from .pipeline import (
-    BlowdownComparison,
     EnConfiguration,
-    EnReport,
-    Identity,
     build_en_configuration,
-    compare_blowdown_vs_horikawa,
     elliptic_surface_invariants,
     horikawa_direct,
     single_contraction_report,
     verify_en_identities,
     w4_example,
 )
+from .report import EnReport, Identity
 
 __version__ = "0.1.0"
 
@@ -95,12 +93,10 @@ __all__ = [
     "EnConfiguration",
     "EnReport",
     "Identity",
-    "BlowdownComparison",
     "build_en_configuration",
     "verify_en_identities",
     "horikawa_direct",
     "elliptic_surface_invariants",
-    "compare_blowdown_vs_horikawa",
     "w4_example",
     "single_contraction_report",
 ]

@@ -12,7 +12,6 @@ cross-check against the direct double-cover computation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -132,6 +131,7 @@ class ChainContribution:
 class SmoothedFiberInvariants:
     fiber: SurfaceInvariants
     contributions: tuple[ChainContribution, ...]
+    flags: tuple[dict, ...] = ()
 
 
 def smoothing_invariants(
@@ -143,20 +143,23 @@ def smoothing_invariants(
     by r + 1 - d per chain.  p_g, when present on the input, is carried over
     as an inferred value (reports label it so).  The output must satisfy
     12*chi = K^2 + e, otherwise the chain/d accounting is wrong and the call
-    fails.  Rational double point chains contribute nothing and are skipped
-    with a warning.
+    fails.  Rational double point chains contribute nothing; each one is
+    skipped and recorded as a {"name": "warning", "detail": ...} flag.
     """
     if v.K2 is None or v.e is None or v.chi is None:
         raise ValueError("smoothing needs K2, e and chi on the input invariants")
     contributions = []
+    flags = []
     total_correction = Fraction(0)
     total_drop = 0
     for cls in chains:
         if cls.kind == RATIONAL_DOUBLE_POINT:
-            warnings.warn(
-                f"rational double point chain {cls.chain.b} has no effect on the "
-                f"smoothing invariants; skipping it",
-                stacklevel=2,
+            flags.append(
+                {
+                    "name": "warning",
+                    "detail": f"rational double point chain {cls.chain.b} has no effect "
+                    f"on the smoothing invariants; skipping it",
+                }
             )
             continue
         if cls.kind != CLASS_T:
@@ -187,7 +190,9 @@ def smoothing_invariants(
     p_g = v.p_g
     q = None if p_g is None else 1 - v.chi + p_g
     fiber = SurfaceInvariants(p_g=p_g, q=q, chi=v.chi, K2=k2, e=e)
-    return SmoothedFiberInvariants(fiber=fiber, contributions=tuple(contributions))
+    return SmoothedFiberInvariants(
+        fiber=fiber, contributions=tuple(contributions), flags=tuple(flags)
+    )
 
 
 def branch_compatibility(

@@ -241,26 +241,24 @@ def _seeds(max_length: int) -> list[tuple[int, ...]]:
 
 
 def generate_class_t(max_length: int) -> list[ResolutionChain]:
-    """All non-RDP class-T chains of length <= max_length, without duplicates.
+    """All non-RDP class-T chains of length <= max_length, each exactly once.
 
-    Breadth-first expansion of each seed in turn; the seed families are
-    disjoint (the seed length is the invariant d), but deduplication is global
-    anyway.
+    Breadth-first expansion of each seed in turn.  No chain is reached twice,
+    so nothing is deduplicated: the seed families are disjoint (the seed
+    length is the invariant d), no move yields a seed (a prepend starts the
+    chain with 2, an append ends it with 2), and every non-seed chain has
+    exactly one inverse move (b[0] == 2 < b[-1] and b[-1] == 2 < b[0] exclude
+    each other), hence exactly one parent.  So there are 2**(L+1) - 2 - L
+    chains for max_length L.
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     out: list[ResolutionChain] = []
-    seen: set[tuple[int, ...]] = set()
     for seed in _seeds(max_length):
-        queue: deque[tuple[int, ...]] = deque([seed])
+        queue = deque([ResolutionChain(seed)])
         while queue:
-            b = queue.popleft()
-            if b in seen:
-                continue
-            seen.add(b)
-            out.append(ResolutionChain(b))
-            if len(b) < max_length:
-                left, right = expand_t_chain(ResolutionChain(b))
-                queue.append(left.b)
-                queue.append(right.b)
+            chain = queue.popleft()
+            out.append(chain)
+            if len(chain) < max_length:
+                queue.extend(expand_t_chain(chain))
     return out

@@ -1,22 +1,14 @@
 """Command-line front end: every pipeline and query as a subcommand.
 
-Output is a fixed report shape in text or JSON:
-
-    {"command", "inputs", "identities": [{"name", "expected", "computed",
-     "pass", "provenance"}], "flags": [...], "invariants": {...}, "verdict"}
-
-Rationals serialize as {"num": ..., "den": ...}; no floats anywhere.  Exit
-codes: 0 all identities pass, 1 some identity failed (report still emitted),
-2 invalid input.
+Each subcommand prints one report in text or JSON; `report.py` defines its
+shape and both encodings.  Exit codes: 0 all identities pass, 1 some identity
+failed (report still emitted), 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import warnings
-from fractions import Fraction
 from typing import IO, Optional, Sequence
 
 from . import pipeline
@@ -31,13 +23,17 @@ from .classt import (
     recognize_class_t,
 )
 from .covers import SurfaceInvariants
-from .pipeline import (
+from .report import (
     DERIVED,
     TRIVIAL,
     EnReport,
-    _classification_dict,
-    _contribution_dicts,
     check,
+    classification_dict,
+    contribution_dicts,
+    invariants_dict,
+    payload,
+    write_json,
+    write_text,
 )
 
 
@@ -45,9 +41,16 @@ class UsageError(Exception):
     pass
 
 
+class HelpRequested(Exception):
+    """Carries the help text, so `run` writes it to its own `out`."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         raise UsageError(f"{self.format_usage()}error: {message}")
+
+    def print_help(self, file: Optional[IO[str]] = None) -> None:
+        raise HelpRequested(self.format_help())
 
 
 def _parse_chain(text: str) -> tuple[int, ...]:
@@ -60,83 +63,9 @@ def _parse_chain(text: str) -> tuple[int, ...]:
     return entries
 
 
-def _encode(value: object) -> object:
-    """JSON-ready form: exact rationals become {"num", "den"} pairs."""
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
-        return value
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    raise TypeError(f"cannot serialize {value!r}")
-
-
-def _payload(command: str, report: EnReport) -> dict:
-    return {
-        "command": command,
-        "inputs": _encode(report.inputs),
-        "identities": [
-            {
-                "name": i.name,
-                "expected": _encode(i.expected),
-                "computed": _encode(i.computed),
-                "pass": i.passed,
-                "provenance": i.provenance,
-            }
-            for i in report.identities
-        ],
-        "flags": [_encode(flag) for flag in report.flags],
-        "invariants": _encode(report.invariants),
-        "verdict": report.verdict,
-    }
-
-
-def _fmt(value: object) -> str:
-    """Compact text rendering of an encoded JSON value."""
-    if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return f"{value['num']}/{value['den']}"
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}={_fmt(v)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    return json.dumps(value)
-
-
-def _render_text(payload: dict, out: IO[str]) -> None:
-    out.write(f"command: {payload['command']}\n")
-    inputs = " ".join(f"{k}={_fmt(v)}" for k, v in payload["inputs"].items())
-    out.write(f"inputs: {inputs}\n")
-    if payload["identities"]:
-        out.write("identities:\n")
-        for row in payload["identities"]:
-            status = "pass" if row["pass"] else "FAIL"
-            out.write(
-                f"  [{status}] {row['name']}: expected {_fmt(row['expected'])}, "
-                f"computed {_fmt(row['computed'])} ({row['provenance']})\n"
-            )
-    if payload["flags"]:
-        out.write("flags:\n")
-        for flag in payload["flags"]:
-            rest = " ".join(f"{k}={_fmt(v)}" for k, v in flag.items() if k != "name")
-            out.write(f"  {flag.get('name', 'flag')}: {rest}\n")
-    if payload["invariants"]:
-        out.write("invariants:\n")
-        for key, value in payload["invariants"].items():
-            out.write(f"  {key}: {_fmt(value)}\n")
-    out.write(f"verdict: {payload['verdict']}\n")
-
-
-def _report_invariants(inv: SurfaceInvariants) -> dict:
-    return {"p_g": inv.p_g, "q": inv.q, "chi": inv.chi, "K2": inv.K2, "e": inv.e}
-
-
 def _classification_invariants(chain: ResolutionChain) -> dict:
-    out = _classification_dict(recognize_class_t(chain))
-    out["reversed"] = _classification_dict(recognize_class_t(chain.reversed()))
+    out = classification_dict(recognize_class_t(chain))
+    out["reversed"] = classification_dict(recognize_class_t(chain.reversed()))
     return out
 
 
@@ -224,7 +153,7 @@ def _cmd_horikawa(args: argparse.Namespace) -> tuple[str, EnReport]:
         identities=(
             check("noether_formula", 12 * inv.chi, inv.K2 + inv.e, TRIVIAL),
         ),
-        invariants={"invariants": _report_invariants(inv)},
+        invariants={"invariants": invariants_dict(inv)},
     )
     return "horikawa", report
 
@@ -232,12 +161,7 @@ def _cmd_horikawa(args: argparse.Namespace) -> tuple[str, EnReport]:
 def _cmd_blowdown(args: argparse.Namespace) -> tuple[str, EnReport]:
     start = SurfaceInvariants(p_g=args.p_g, q=None, chi=args.chi, K2=args.k2, e=args.euler)
     classifications = [recognize_class_t(ResolutionChain(c)) for c in args.chain]
-    flags: list[dict] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        smoothed = smoothing_invariants(start, classifications)
-    for notice in caught:
-        flags.append({"name": "warning", "detail": str(notice.message)})
+    smoothed = smoothing_invariants(start, classifications)
     fiber = smoothed.fiber
     report = EnReport(
         inputs={
@@ -250,10 +174,10 @@ def _cmd_blowdown(args: argparse.Namespace) -> tuple[str, EnReport]:
         identities=(
             check("noether_formula", 12 * fiber.chi, fiber.K2 + fiber.e, TRIVIAL),
         ),
-        flags=tuple(flags),
+        flags=smoothed.flags,
         invariants={
-            "general_fiber": _report_invariants(fiber),
-            "per_chain": _contribution_dicts(smoothed),
+            "general_fiber": invariants_dict(fiber),
+            "per_chain": contribution_dicts(smoothed),
         },
     )
     return "blowdown", report
@@ -340,19 +264,19 @@ def run(
     except UsageError as exc:
         err.write(f"{exc}\n")
         return 2
-    except SystemExit as exc:  # --help prints and exits
-        return int(exc.code or 0)
+    except HelpRequested as exc:
+        out.write(str(exc))
+        return 0
     try:
         command, report = args.handler(args)
     except (ValueError, RuntimeError) as exc:
         err.write(f"error: {exc}\n")
         return 2
-    payload = _payload(command, report)
+    body = payload(command, report)
     if args.json:
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        write_json(body, out)
     else:
-        _render_text(payload, out)
+        write_text(body, out)
     return 0 if report.all_passed else 1
 
 

@@ -9,7 +9,6 @@ prescribed fiber tangencies.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -70,13 +69,10 @@ def h0_hirzebruch(n: int, a: int, b: int) -> int:
     """dim H^0 of a*C0 + b*f on F_n: sum over fiber multiples of the section.
 
     Equals the number of monomial slots (k, j) with 0 <= k <= a and
-    0 <= j <= b - k*n.
+    0 <= j <= b - k*n, so a negative multiple a of the section has none.
     """
     if n < 0:
         raise ValueError("hirzebruch index must be nonnegative")
-    if a < 0:
-        warnings.warn("negative multiple of the section: no global sections", stacklevel=2)
-        return 0
     return sum(max(0, b - k * n + 1) for k in range(a + 1))
 
 

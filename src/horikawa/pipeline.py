@@ -13,30 +13,18 @@ self-intersections [-n, -2, ..., -2].  The branch transform is
 Delta = pull(D) - 2(e1 + ... + e_{n-3}) and the adjoint half-class is
 L = Delta - (pull(C0) + f0) - K.
 
-Reports list every checked identity with its expected and computed value, a
-provenance tag ("published" for values stated by the construction being
-re-verified, "derived" for values this tool derives, "trivial" for built-in
-algebra), plus findings that are flagged rather than failed.
+Reports list every checked identity with its expected and computed value and
+a provenance tag, plus findings that are flagged rather than failed; the
+report's shape and encodings live in `report.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .blowdown import (
-    ContractionSet,
-    SmoothedFiberInvariants,
-    branch_compatibility,
-    smoothing_invariants,
-)
-from .classt import (
-    CLASS_T,
-    ChainClassification,
-    ResolutionChain,
-    hj_value,
-    recognize_class_t,
-)
+from .blowdown import ContractionSet, branch_compatibility, smoothing_invariants
+from .classt import CLASS_T, ResolutionChain, hj_value, recognize_class_t
 from .covers import (
     HIRZEBRUCH_INVARIANTS,
     CoverSpec,
@@ -48,58 +36,22 @@ from .covers import (
     tangency_condition_count,
 )
 from .lattice import BlownHirzebruch, DivisorClass
-
-PUBLISHED = "published"
-DERIVED = "derived"
-TRIVIAL = "trivial"
+from .report import (
+    DERIVED,
+    PUBLISHED,
+    TRIVIAL,
+    EnReport,
+    Identity,
+    check,
+    classification_dict,
+    contribution_dicts,
+    invariants_dict,
+)
 
 H1_HYPOTHESIS = (
     "degree criterion assumes the class is an irreducible nonsingular curve "
     "on a surface with p_g = q = 0"
 )
-
-
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    expected: object
-    computed: object
-    passed: bool
-    provenance: str
-
-
-def check(name: str, expected: object, computed: object, provenance: str) -> Identity:
-    return Identity(name, expected, computed, expected == computed, provenance)
-
-
-@dataclass(frozen=True)
-class EnReport:
-    """One pipeline run: inputs, identity ledger, flagged findings, raw data."""
-
-    inputs: dict
-    identities: tuple[Identity, ...]
-    flags: tuple[dict, ...] = field(default_factory=tuple)
-    invariants: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        published_ok = all(
-            i.passed for i in self.identities if i.provenance == PUBLISHED
-        )
-        return "pass" if published_ok else "fail"
-
-    @property
-    def all_passed(self) -> bool:
-        return all(i.passed for i in self.identities)
-
-    def failures(self) -> tuple[Identity, ...]:
-        return tuple(i for i in self.identities if not i.passed)
-
-    def identity(self, name: str) -> Identity:
-        for i in self.identities:
-            if i.name == name:
-                return i
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -181,33 +133,6 @@ def horikawa_direct(n: int) -> SurfaceInvariants:
 
 def _configuration_chain(n: int) -> ResolutionChain:
     return ResolutionChain((n,) + (2,) * (n - 4))
-
-
-def _invariants_dict(inv: SurfaceInvariants) -> dict:
-    return {"p_g": inv.p_g, "q": inv.q, "chi": inv.chi, "K2": inv.K2, "e": inv.e}
-
-
-def _classification_dict(cls: ChainClassification) -> dict:
-    out: dict = {"chain": list(cls.chain.b), "kind": cls.kind}
-    if cls.kind == CLASS_T:
-        out.update({"d": cls.tdata.d, "n": cls.tdata.n, "a": cls.tdata.a})
-        out["seed"] = list(cls.seed.b)
-        out["trace"] = list(cls.reduction_trace)
-    if cls.rdp_index is not None:
-        out["rdp_index"] = cls.rdp_index
-    return out
-
-
-def _contribution_dicts(smoothed: SmoothedFiberInvariants) -> list[dict]:
-    return [
-        {
-            "chain": list(c.classification.chain.b),
-            "discrepancies": list(c.discrepancies),
-            "k2_correction": c.k2_correction,
-            "euler_drop": c.euler_drop,
-        }
-        for c in smoothed.contributions
-    ]
 
 
 def verify_en_identities(cfg: EnConfiguration) -> EnReport:
@@ -368,16 +293,16 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
         "canonical": list(cfg.K.coeffs),
         "chain": list(chain.b),
         "chain_gram": [list(row) for row in negativity.gram],
-        "chain_classification": _classification_dict(classification),
-        "chain_classification_reversed": _classification_dict(reversed_classification),
+        "chain_classification": classification_dict(classification),
+        "chain_classification_reversed": classification_dict(reversed_classification),
         "adjoint_square_lattice": adjoint_square,
         "adjoint_square_closed_form": closed_form,
-        "elliptic_cover": _invariants_dict(elliptic),
-        "general_fiber": _invariants_dict(fiber),
+        "elliptic_cover": invariants_dict(elliptic),
+        "general_fiber": invariants_dict(fiber),
         "general_fiber_p_g_status": "inferred",
         "general_fiber_noether_margin": fiber_noether.margin,
-        "direct_double_cover": _invariants_dict(direct),
-        "per_chain": _contribution_dicts(smoothed),
+        "direct_double_cover": invariants_dict(direct),
+        "per_chain": contribution_dicts(smoothed),
         "h1_hypothesis": H1_HYPOTHESIS,
     }
     return EnReport(
@@ -385,31 +310,6 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
         identities=tuple(ids),
         flags=tuple(flags),
         invariants=invariants,
-    )
-
-
-@dataclass(frozen=True)
-class BlowdownComparison:
-    n: int
-    match: bool
-    general_fiber: SurfaceInvariants
-    direct: SurfaceInvariants
-    smoothed: SmoothedFiberInvariants
-
-
-def compare_blowdown_vs_horikawa(n: int) -> BlowdownComparison:
-    """Blow down two configuration chains on E(n) and compare with H(n)."""
-    if n < 5:
-        raise ValueError("comparison needs n >= 5")
-    classification = recognize_class_t(_configuration_chain(n))
-    smoothed = smoothing_invariants(
-        elliptic_surface_invariants(n), [classification, classification]
-    )
-    direct = horikawa_direct(n)
-    fiber = smoothed.fiber
-    match = (fiber.chi, fiber.K2, fiber.e) == (direct.chi, direct.K2, direct.e)
-    return BlowdownComparison(
-        n=n, match=match, general_fiber=fiber, direct=direct, smoothed=smoothed
     )
 
 
@@ -463,20 +363,20 @@ def w4_example(count: int) -> EnReport:
         interpretation = "on the Noether line: matches the direct double cover"
     invariants = {
         "branch": list(branch.coeffs),
-        "chain_classification": _classification_dict(classification),
-        "chain_classification_reversed": _classification_dict(
+        "chain_classification": classification_dict(classification),
+        "chain_classification_reversed": classification_dict(
             recognize_class_t(classification.chain.reversed())
         ),
-        "elliptic_cover": _invariants_dict(cover),
-        "general_fiber": _invariants_dict(fiber),
+        "elliptic_cover": invariants_dict(cover),
+        "general_fiber": invariants_dict(fiber),
         "general_fiber_p_g_status": "inferred",
         "noether_margin": noether.margin,
-        "per_chain": _contribution_dicts(smoothed),
+        "per_chain": contribution_dicts(smoothed),
         "interpretation": interpretation,
         "h1_hypothesis": H1_HYPOTHESIS,
     }
     if count == 2:
-        invariants["direct_double_cover"] = _invariants_dict(horikawa_direct(4))
+        invariants["direct_double_cover"] = invariants_dict(horikawa_direct(4))
     return EnReport(
         inputs={"count": count},
         identities=tuple(ids),
@@ -505,12 +405,12 @@ def single_contraction_report(n: int) -> EnReport:
         check("noether_violated", True, not noether.satisfied, PUBLISHED),
     ]
     invariants = {
-        "chain_classification": _classification_dict(classification),
-        "elliptic_cover": _invariants_dict(elliptic),
-        "hypothetical_fiber": _invariants_dict(fiber),
+        "chain_classification": classification_dict(classification),
+        "elliptic_cover": invariants_dict(elliptic),
+        "hypothetical_fiber": invariants_dict(fiber),
         "general_fiber_p_g_status": "inferred",
         "noether_margin": noether.margin,
-        "per_chain": _contribution_dicts(smoothed),
+        "per_chain": contribution_dicts(smoothed),
         "interpretation": "obstruction witness: no smoothing exists",
     }
     return EnReport(

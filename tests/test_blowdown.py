@@ -117,8 +117,14 @@ def test_smoothing_with_no_chains_is_identity():
 def test_smoothing_warns_on_rdp_chain_and_skips_it():
     start = SurfaceInvariants(p_g=3, q=0, chi=4, K2=0, e=48)
     rdp = recognize_class_t(ResolutionChain((2, 2)))
-    with pytest.warns(UserWarning):
-        smoothed = smoothing_invariants(start, [rdp])
+    smoothed = smoothing_invariants(start, [rdp])
+    assert smoothed.flags == (
+        {
+            "name": "warning",
+            "detail": "rational double point chain (2, 2) has no effect on the "
+            "smoothing invariants; skipping it",
+        },
+    )
     assert smoothed.fiber == start
     assert smoothed.contributions == ()
 

@@ -205,6 +205,12 @@ def test_generate_has_no_duplicates():
     assert len(out) == len(set(out))
 
 
+@pytest.mark.parametrize("max_length", range(1, 13))
+def test_generate_count_closed_form(max_length):
+    out = [c.b for c in generate_class_t(max_length)]
+    assert len(out) == len(set(out)) == 2 ** (max_length + 1) - 2 - max_length
+
+
 # -- validation -----------------------------------------------------------------------
 
 def test_cyclic_quotient_validation():

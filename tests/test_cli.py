@@ -2,6 +2,7 @@
 
 Core claims:
     - exit codes: 0 on clean reports, 2 on invalid input, usage text on stderr
+    - --help writes its text to run's `out` and exits 0
     - the JSON report carries the fixed schema, round-trips byte-identically,
       and contains no floats; rationals appear as num/den pairs
     - text and JSON modes report the same values
@@ -68,6 +69,17 @@ def test_class_t_expand():
     payload = json.loads(out)
     assert payload["invariants"]["prepend_child"] == [2, 5]
     assert payload["invariants"]["append_child"] == [5, 2]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["class-t", "recognize", "--help"], ["en-report", "-h"]]
+)
+def test_help_goes_to_out(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 0
+    assert out.startswith("usage: horikawa") and "--help" in out
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_chain_argument_validation():

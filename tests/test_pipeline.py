@@ -7,25 +7,22 @@ Core claims:
       at n = 5, 6, 8 are reproduced
     - the adjoint square is flagged (never failed) when it differs from the
       closed form 25n + 2, and agrees at n = 5
-    - the blow-down comparison, the F_4 example and the single-contraction
-      obstruction witness report the expected margins and matches
+    - the report's blow-down of two chains matches H(n), and the F_4 example
+      and the single-contraction obstruction witness report the expected
+      margins and matches
 """
 
 import pytest
 
 from horikawa.pipeline import (
-    DERIVED,
-    PUBLISHED,
-    EnReport,
     build_en_configuration,
-    check,
-    compare_blowdown_vs_horikawa,
     elliptic_surface_invariants,
     horikawa_direct,
     single_contraction_report,
     verify_en_identities,
     w4_example,
 )
+from horikawa.report import DERIVED, PUBLISHED, EnReport, check
 
 
 # -- configuration geometry ---------------------------------------------------
@@ -171,19 +168,19 @@ def test_horikawa_rejects_small_n():
         horikawa_direct(3)
 
 
-# -- blow-down comparison -------------------------------------------------------------
+# -- blow-down against the direct cover ----------------------------------------------
 
 @pytest.mark.parametrize("n", range(5, 21))
 def test_blowdown_matches_horikawa(n):
-    comparison = compare_blowdown_vs_horikawa(n)
-    assert comparison.match
+    report = verify_en_identities(build_en_configuration(n))
+    assert report.identity("smoothing_matches_direct_cover").passed
 
 
 def test_blowdown_comparison_pinned_values():
-    comparison = compare_blowdown_vs_horikawa(5)
-    fiber = comparison.general_fiber
-    assert (fiber.chi, fiber.K2, fiber.e) == (5, 4, 56)
-    assert compare_blowdown_vs_horikawa(8).general_fiber.K2 == 10
+    fiber = verify_en_identities(build_en_configuration(5)).invariants["general_fiber"]
+    assert (fiber["chi"], fiber["K2"], fiber["e"]) == (5, 4, 56)
+    fiber = verify_en_identities(build_en_configuration(8)).invariants["general_fiber"]
+    assert fiber["K2"] == 10
 
 
 # -- the F_4 example -----------------------------------------------------------------
