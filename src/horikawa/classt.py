@@ -18,17 +18,21 @@ by arbitrarily iterating the two end moves
     [b_1, ..., b_r] -> [b_1 + 1, b_2, ..., b_r, 2]          ("append")
 
 Recognition inverts the moves: strip a leading 2 and decrement the tail, or
-strip a trailing 2 and decrement the head, searching both branches until a
-seed is reached or no reduction applies.
+strip a trailing 2 and decrement the head.  The two inverse moves exclude
+each other (b_1 = 2 < b_r against b_r = 2 < b_1), so at most one applies at
+each step and recognition is one walk inward from both ends, linear in the
+chain length.  The walk stops at the first chain no move applies to, which
+is class T exactly when it is a seed.  Along the trace, (n, a) starts at
+(2, 1) on either seed; "append" maps it to (n + a, a) and "prepend" to
+(2n - a, n), and d is the seed length.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional
 
 RATIONAL_DOUBLE_POINT = "rational_double_point"
@@ -114,11 +118,15 @@ class ChainClassification:
         """Apply the recorded trace to the seed; None unless class T."""
         if self.kind != CLASS_T:
             return None
-        chain = self.seed
+        chain = deque(self.seed.b)
         for step in self.reduction_trace:
-            left, right = expand_t_chain(chain)
-            chain = left if step == STEP_PREPEND else right
-        return chain
+            if step == STEP_PREPEND:
+                chain[-1] += 1
+                chain.appendleft(2)
+            else:
+                chain[0] += 1
+                chain.append(2)
+        return ResolutionChain(tuple(chain))
 
 
 def hj_expand(x: CyclicQuotient) -> ResolutionChain:
@@ -133,11 +141,16 @@ def hj_expand(x: CyclicQuotient) -> ResolutionChain:
 
 
 def hj_value(chain: ResolutionChain) -> CyclicQuotient:
-    """Evaluate the chain's continued fraction back to a quotient 1/m(1,q)."""
-    value = Fraction(chain.b[-1])
-    for b in reversed(chain.b[:-1]):
-        value = b - 1 / value
-    return CyclicQuotient(value.numerator, value.denominator)
+    """Evaluate the chain's continued fraction back to a quotient 1/m(1,q).
+
+    m = K(b_1..b_r) and q = K(b_2..b_r) are continuants, built from the tail
+    by K(b_i..b_r) = b_i*K(b_{i+1}..b_r) - K(b_{i+2}..b_r).  Consecutive
+    continuants are coprime, so m/q is already in lowest terms.
+    """
+    m, q = 1, 0
+    for b in reversed(chain.b):
+        m, q = b * m - q, m
+    return CyclicQuotient(m, q)
 
 
 def expand_t_chain(chain: ResolutionChain) -> tuple[ResolutionChain, ResolutionChain]:
@@ -148,59 +161,45 @@ def expand_t_chain(chain: ResolutionChain) -> tuple[ResolutionChain, ResolutionC
     return left, right
 
 
-def _is_seed(b: tuple[int, ...]) -> bool:
-    if b == (4,):
-        return True
-    return len(b) >= 2 and b[0] == 3 and b[-1] == 3 and all(x == 2 for x in b[1:-1])
+@lru_cache(maxsize=1024)
+def _find_seed(b: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[str, ...], int, int]]:
+    """Undo end moves until none applies, then test for a seed.
 
-
-@lru_cache(maxsize=None)
-def _find_seed(b: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[str, ...]]]:
-    """Search both inverse end moves for a generation path down to a seed.
-
-    Returns (seed, trace) such that replaying the trace on the seed gives b,
-    or None when no reduction path reaches a seed.  Memoized globally; the
-    cache is safe for concurrent use.
+    Walks two indices inward, keeping the current head and tail values, so
+    it never copies the chain.  Returns (seed, trace, n, a), where replaying
+    the trace on the seed gives b and (n, a) are carried along the trace, or
+    None when the walk stops on a chain that is not a seed.  Memoized for
+    the last 1024 chains; the cache is safe for concurrent use.
     """
-    if _is_seed(b):
-        return b, ()
-    if len(b) >= 2:
-        if b[0] == 2 and b[-1] >= 3:
-            found = _find_seed(b[1:-1] + (b[-1] - 1,))
-            if found is not None:
-                return found[0], found[1] + (STEP_PREPEND,)
-        if b[-1] == 2 and b[0] >= 3:
-            found = _find_seed((b[0] - 1,) + b[1:-1])
-            if found is not None:
-                return found[0], found[1] + (STEP_APPEND,)
-    return None
-
-
-def _t_parameters(m: int, q: int) -> TData:
-    """Solve d*n^2 = m, d*n*a - 1 = q over the divisors of m.
-
-    The solution is unique for genuine class-T quotients; anything else is an
-    internal error, not caller error.
-    """
-    hits = []
-    for i in range(1, isqrt(m) + 1):
-        if m % i:
-            continue
-        for d in {i, m // i}:
-            n = isqrt(m // d)
-            if n * n != m // d or n < 2:
-                continue
-            if (q + 1) % (d * n):
-                continue
-            a = (q + 1) // (d * n)
-            if a >= 1 and gcd(a, n) == 1:
-                hits.append(TData(d=d, n=n, a=a))
-    if len(hits) != 1:
-        raise RuntimeError(
-            f"internal error: 1/{m}(1,{q}) admits {len(hits)} class-T parameter "
-            f"solutions, expected exactly one"
-        )
-    return hits[0]
+    i, j = 0, len(b) - 1
+    head, tail = b[i], b[j]
+    undone = []
+    while i < j:
+        if head == 2 and tail >= 3:
+            undone.append(STEP_PREPEND)
+            i += 1
+            tail -= 1
+            head = b[i] if i < j else tail
+        elif tail == 2 and head >= 3:
+            undone.append(STEP_APPEND)
+            j -= 1
+            head -= 1
+            tail = b[j] if i < j else head
+        else:
+            break
+    if i == j:
+        if head != 4:
+            return None
+        seed: tuple[int, ...] = (4,)
+    else:
+        if head != 3 or tail != 3 or any(b[k] != 2 for k in range(i + 1, j)):
+            return None
+        seed = (3,) + (2,) * (j - i - 1) + (3,)
+    trace = tuple(reversed(undone))
+    n, a = 2, 1
+    for step in trace:
+        n, a = (n + a, a) if step == STEP_APPEND else (2 * n - a, n)
+    return seed, trace, n, a
 
 
 def recognize_class_t(chain: ResolutionChain) -> ChainClassification:
@@ -215,17 +214,18 @@ def recognize_class_t(chain: ResolutionChain) -> ChainClassification:
     found = _find_seed(b)
     if found is None:
         return ChainClassification(chain=chain, kind=NOT_CLASS_T)
-    seed, trace = found
+    seed, trace, n, a = found
+    d = len(seed)
     quotient = hj_value(chain)
-    data = _t_parameters(quotient.m, quotient.q)
-    if data.d != len(seed):
+    if (d * n * n, d * n * a - 1) != (quotient.m, quotient.q):
         raise RuntimeError(
-            f"internal error: chain {b} reduces to seed {seed} but solves to d={data.d}"
+            f"internal error: chain {b} reduces to seed {seed} with (d, n, a) = "
+            f"{(d, n, a)}, which does not give 1/{quotient.m}(1,{quotient.q})"
         )
     return ChainClassification(
         chain=chain,
         kind=CLASS_T,
-        tdata=data,
+        tdata=TData(d=d, n=n, a=a),
         seed=ResolutionChain(seed),
         reduction_trace=trace,
     )

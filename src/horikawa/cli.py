@@ -159,6 +159,11 @@ def _cmd_horikawa(args: argparse.Namespace) -> tuple[str, EnReport]:
 
 
 def _cmd_blowdown(args: argparse.Namespace) -> tuple[str, EnReport]:
+    if args.p_g is not None and args.p_g < args.chi - 1:
+        raise ValueError(
+            f"--p-g {args.p_g} is too small for --chi {args.chi}: "
+            f"q = 1 - chi + p_g >= 0 needs p_g >= chi - 1 = {args.chi - 1}"
+        )
     start = SurfaceInvariants(p_g=args.p_g, q=None, chi=args.chi, K2=args.k2, e=args.euler)
     classifications = [recognize_class_t(ResolutionChain(c)) for c in args.chain]
     smoothed = smoothing_invariants(start, classifications)

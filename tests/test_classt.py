@@ -3,14 +3,18 @@
 Core claims:
     - hj_expand and hj_value are mutually inverse, exhaustively for small m
     - hj_value agrees with an independent continuant-recurrence oracle
-    - the end moves, seeds, recognition search and generator are consistent:
+    - the end moves, seeds, recognition walk and generator are consistent:
       generated chains are recognized, recognized chains replay their trace,
       both children of a class-T chain are class T with the same d
+    - recognition returns the generating seed and trace of random class-T
+      chains up to 60 moves deep, mirrors the trace on the mirrored chain,
+      and carries the same (d, n, a) a brute-force divisor search finds
     - the pinned examples: [4], [5,2], [6,2,2], [3,2,3], all-2 chains,
       and the configuration family [n, 2, ..., 2]
 """
 
 import itertools
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -20,6 +24,8 @@ from horikawa.classt import (
     CLASS_T,
     NOT_CLASS_T,
     RATIONAL_DOUBLE_POINT,
+    STEP_APPEND,
+    STEP_PREPEND,
     CyclicQuotient,
     ResolutionChain,
     TData,
@@ -42,6 +48,41 @@ def continuant(b):
     for entry in b[1:]:
         prev, current = current, entry * current - prev
     return current
+
+
+def quotient_oracle(b):
+    """(m, q) = (K(b_1..b_r), K(b_2..b_r)) from the continuant oracle."""
+    return continuant(b), continuant(b[1:]) if len(b) > 1 else 1
+
+
+def seed_of_length(d):
+    return (4,) if d == 1 else (3,) + (2,) * (d - 2) + (3,)
+
+
+def replay_moves(seed, trace):
+    b = seed
+    for step in trace:
+        b = (2,) + b[:-1] + (b[-1] + 1,) if step == STEP_PREPEND else (b[0] + 1,) + b[1:] + (2,)
+    return b
+
+
+def divisor_search(m, q):
+    """Every (d, n, a) with d*n^2 = m, d*n*a - 1 = q, n >= 2, a >= 1 and
+    gcd(a, n) = 1, found by trial division up to sqrt(m)."""
+    hits = []
+    for i in range(1, isqrt(m) + 1):
+        if m % i:
+            continue
+        for d in {i, m // i}:
+            n = isqrt(m // d)
+            if n * n != m // d or n < 2:
+                continue
+            if (q + 1) % (d * n):
+                continue
+            a = (q + 1) // (d * n)
+            if a >= 1 and gcd(a, n) == 1:
+                hits.append((d, n, a))
+    return hits
 
 
 # -- expansion and evaluation ---------------------------------------------------
@@ -164,6 +205,37 @@ def test_class_t_parameters_match_quotient():
         quotient = hj_value(chain)
         assert data.d * data.n**2 == quotient.m
         assert data.d * data.n * data.a - 1 == quotient.q
+
+
+MIRROR = {STEP_PREPEND: STEP_APPEND, STEP_APPEND: STEP_PREPEND}
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.sampled_from((STEP_PREPEND, STEP_APPEND)), max_size=60),
+)
+def test_recognition_inverts_generation(d, trace):
+    seed = seed_of_length(d)
+    b = replay_moves(seed, trace)
+    verdict = recognize_class_t(ResolutionChain(b))
+    assert verdict.kind == CLASS_T
+    assert (verdict.seed.b, verdict.reduction_trace) == (seed, tuple(trace))
+    data = verdict.tdata
+    assert data.d == d
+    assert (d * data.n**2, d * data.n * data.a - 1) == quotient_oracle(b)
+    mirrored = recognize_class_t(ResolutionChain(b[::-1]))
+    assert mirrored.seed.b == seed
+    assert mirrored.reduction_trace == tuple(MIRROR[step] for step in trace)
+    # every move adds one entry and raises the sum by 3, so a class-T chain
+    # has sum 3r - d + 2; raising an end by d leaves no d' >= 1 for the sum
+    for raised in ((b[0] + d,) + b[1:], b[:-1] + (b[-1] + d,)):
+        assert recognize_class_t(ResolutionChain(raised)).kind == NOT_CLASS_T
+
+
+def test_carried_parameters_match_divisor_search():
+    for chain in generate_class_t(12):
+        data = recognize_class_t(chain).tdata
+        assert divisor_search(*quotient_oracle(chain.b)) == [(data.d, data.n, data.a)]
 
 
 # -- generation ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 Core claims:
     - exit codes: 0 on clean reports, 2 on invalid input, usage text on stderr
+    - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
+    - `class-t recognize` answers the configuration chain [n, 2, ..., 2] for
+      n = 1313 and 5000 in a fresh process at the default recursion limit
     - --help writes its text to run's `out` and exits 0
     - the JSON report carries the fixed schema, round-trips byte-identically,
       and contains no floats; rationals appear as num/den pairs
@@ -10,9 +13,15 @@ Core claims:
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import horikawa
+from horikawa.classt import ResolutionChain, recognize_class_t
 from horikawa.cli import run
 
 
@@ -151,6 +160,43 @@ def test_blowdown_rejects_non_class_t_chain():
         "blowdown", "--chi", "4", "--k2", "0", "--euler", "48", "--chain", "7,2",
     )
     assert code == 2 and "class T" in err
+
+
+def test_blowdown_rejects_p_g_below_chi_minus_one():
+    code, out, err = invoke(
+        "blowdown", "--chi", "8", "--k2", "0", "--euler", "96", "--p-g", "3", "--chain", "4",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --p-g 3 is too small for --chi 8: "
+        "q = 1 - chi + p_g >= 0 needs p_g >= chi - 1 = 7\n"
+    )
+
+
+@pytest.mark.parametrize("n", [1313, 5000])
+def test_long_configuration_chain_in_fresh_process(n):
+    # a cold process, so no memo from other tests shortens the reduction
+    b = (n,) + (2,) * (n - 4)
+    script = (
+        "import sys; from horikawa.cli import run; "
+        "assert sys.getrecursionlimit() == 1000; sys.exit(run(sys.argv[1:]))"
+    )
+    src = str(Path(horikawa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "class-t", "recognize", "--json",
+         "--chain", ",".join(map(str, b))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    cls = payload["invariants"]["classification"]
+    assert (cls["kind"], cls["d"], cls["n"], cls["a"]) == ("class_t", 1, n - 2, 1)
+    assert [(i["name"], i["pass"]) for i in payload["identities"]] == [
+        ("trace_replays_to_chain", True)
+    ]
+    assert recognize_class_t(ResolutionChain(b)).replay().b == b
 
 
 def test_w4_command():
