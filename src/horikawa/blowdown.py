@@ -12,10 +12,10 @@ cross-check against the direct double-cover computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from ._record import Record
 from .classt import (
     CLASS_T,
     NOT_CLASS_T,
@@ -41,18 +41,18 @@ def discrepancies(chain: ResolutionChain) -> tuple[Fraction, ...]:
     rhs = [Fraction(2 - bi) for bi in b]
     for i in range(1, r):
         if diag[i - 1] == 0:
-            raise RuntimeError(f"internal error: singular chain matrix for {b}")
+            raise RuntimeError(f"singular chain matrix for {b}")
         diag[i] -= Fraction(1) / diag[i - 1]
         rhs[i] -= rhs[i - 1] / diag[i - 1]
     if diag[-1] == 0:
-        raise RuntimeError(f"internal error: singular chain matrix for {b}")
+        raise RuntimeError(f"singular chain matrix for {b}")
     sol = [Fraction(0)] * r
     sol[-1] = rhs[-1] / diag[-1]
     for i in range(r - 2, -1, -1):
         sol[i] = (rhs[i] - sol[i + 1]) / diag[i]
     out = tuple(sol)
     if not all(0 <= d < 1 for d in out):
-        raise RuntimeError(f"internal error: discrepancies {out} out of [0,1) for {b}")
+        raise RuntimeError(f"discrepancies {out} out of [0,1) for {b}")
     return out
 
 
@@ -65,8 +65,7 @@ def _k2_from_discrepancies(chain: ResolutionChain, disc: Sequence[Fraction]) -> 
     return sum((d * (bi - 2) for d, bi in zip(disc, chain.b)), start=Fraction(0))
 
 
-@dataclass(frozen=True)
-class ContractionSet:
+class ContractionSet(Record):
     """Disjoint negative chains of curve classes in one ambient lattice.
 
     Construction verifies the plumbing shape (consecutive classes meet once,
@@ -76,11 +75,24 @@ class ContractionSet:
     disjointness of different chains is paired class by class.
     """
 
+    __slots__ = ("surface", "chains", "classifications")
     surface: BlownHirzebruch
     chains: tuple[tuple[DivisorClass, ...], ...]
-    classifications: tuple[ChainClassification, ...] = field(init=False)
+    classifications: tuple[ChainClassification, ...]
+
+    def __init__(
+        self, surface: BlownHirzebruch, chains: Iterable[Iterable[DivisorClass]]
+    ) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "chains", chains)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the chains and set `classifications`.
+
+        Kept apart from `__init__` under this name, which benchmarks/tracer.py
+        wraps on the class to time construction.
+        """
         object.__setattr__(self, "chains", tuple(tuple(c) for c in self.chains))
         pair = self.surface.pairing
         classifications = []
@@ -117,21 +129,29 @@ class ContractionSet:
         object.__setattr__(self, "classifications", tuple(classifications))
 
 
-@dataclass(frozen=True)
-class ChainContribution:
+class ChainContribution(Record):
     """What one contracted-and-smoothed chain does to the invariants."""
 
+    __slots__ = ("classification", "discrepancies", "k2_correction", "euler_drop")
     classification: ChainClassification
     discrepancies: tuple[Fraction, ...]
     k2_correction: Fraction
     euler_drop: int
 
 
-@dataclass(frozen=True)
-class SmoothedFiberInvariants:
+class SmoothedFiberInvariants(Record):
+    __slots__ = ("fiber", "contributions", "flags")
     fiber: SurfaceInvariants
     contributions: tuple[ChainContribution, ...]
-    flags: tuple[dict, ...] = ()
+    flags: tuple[dict, ...]
+
+    def __init__(
+        self,
+        fiber: SurfaceInvariants,
+        contributions: tuple[ChainContribution, ...],
+        flags: tuple[dict, ...] = (),
+    ) -> None:
+        super().__init__(fiber, contributions, flags)
 
 
 def smoothing_invariants(

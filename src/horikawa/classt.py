@@ -30,10 +30,11 @@ is class T exactly when it is a seed.  Along the trace, (n, a) starts at
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
+
+from ._record import Record
 
 RATIONAL_DOUBLE_POINT = "rational_double_point"
 CLASS_T = "class_t"
@@ -43,35 +44,37 @@ STEP_PREPEND = "prepend"
 STEP_APPEND = "append"
 
 
-@dataclass(frozen=True)
-class CyclicQuotient:
+class CyclicQuotient(Record):
     """The cyclic quotient singularity 1/m(1,q)."""
 
+    __slots__ = ("m", "q")
     m: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"order m must be at least 2, got {self.m}")
-        if not 1 <= self.q < self.m:
-            raise ValueError(f"weight q must satisfy 1 <= q < m, got q={self.q}, m={self.m}")
-        if gcd(self.m, self.q) != 1:
-            raise ValueError(f"m={self.m} and q={self.q} must be coprime")
+    def __init__(self, m: int, q: int) -> None:
+        if m < 2:
+            raise ValueError(f"order m must be at least 2, got {m}")
+        if not 1 <= q < m:
+            raise ValueError(f"weight q must satisfy 1 <= q < m, got q={q}, m={m}")
+        if gcd(m, q) != 1:
+            raise ValueError(f"m={m} and q={q} must be coprime")
+        super().__init__(m, q)
 
 
-@dataclass(frozen=True)
-class ResolutionChain:
+class ResolutionChain(Record):
     """A linear chain of self-intersections [-b_1, ..., -b_r], stored as b_i >= 2."""
 
+    __slots__ = ("b",)
     b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        if not self.b:
+    def __init__(self, b: Iterable[int]) -> None:
+        b = tuple(b)
+        if not b:
             raise ValueError("chain must be nonempty")
-        for entry in self.b:
+        for entry in b:
             if not isinstance(entry, int) or entry < 2:
                 raise ValueError(f"chain entries must be integers >= 2, got {entry!r}")
+        object.__setattr__(self, "b", b)
 
     def __len__(self) -> int:
         return len(self.b)
@@ -80,26 +83,26 @@ class ResolutionChain:
         return ResolutionChain(self.b[::-1])
 
 
-@dataclass(frozen=True)
-class TData:
+class TData(Record):
     """Parameters (d, n, a) of the class-T quotient 1/(d*n^2)(1, d*n*a - 1).
 
     d is also the number of smoothing parameters of the singular point.
     """
 
+    __slots__ = ("d", "n", "a")
     d: int
     n: int
     a: int
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.n < 2 or self.a < 1:
-            raise ValueError(f"need d >= 1, n >= 2, a >= 1, got {(self.d, self.n, self.a)}")
-        if gcd(self.a, self.n) != 1:
-            raise ValueError(f"a={self.a} and n={self.n} must be coprime")
+    def __init__(self, d: int, n: int, a: int) -> None:
+        if d < 1 or n < 2 or a < 1:
+            raise ValueError(f"need d >= 1, n >= 2, a >= 1, got {(d, n, a)}")
+        if gcd(a, n) != 1:
+            raise ValueError(f"a={a} and n={n} must be coprime")
+        super().__init__(d, n, a)
 
 
-@dataclass(frozen=True)
-class ChainClassification:
+class ChainClassification(Record):
     """Verdict of `recognize_class_t` for one chain.
 
     For class-T chains, `seed` and `reduction_trace` witness the generation:
@@ -107,12 +110,24 @@ class ChainClassification:
     seed length equals the parameter d.
     """
 
+    __slots__ = ("chain", "kind", "tdata", "rdp_index", "seed", "reduction_trace")
     chain: ResolutionChain
     kind: str
-    tdata: Optional[TData] = None
-    rdp_index: Optional[int] = None
-    seed: Optional[ResolutionChain] = None
-    reduction_trace: tuple[str, ...] = field(default_factory=tuple)
+    tdata: Optional[TData]
+    rdp_index: Optional[int]
+    seed: Optional[ResolutionChain]
+    reduction_trace: tuple[str, ...]
+
+    def __init__(
+        self,
+        chain: ResolutionChain,
+        kind: str,
+        tdata: Optional[TData] = None,
+        rdp_index: Optional[int] = None,
+        seed: Optional[ResolutionChain] = None,
+        reduction_trace: tuple[str, ...] = (),
+    ) -> None:
+        super().__init__(chain, kind, tdata, rdp_index, seed, reduction_trace)
 
     def replay(self) -> Optional[ResolutionChain]:
         """Apply the recorded trace to the seed; None unless class T."""
@@ -219,7 +234,7 @@ def recognize_class_t(chain: ResolutionChain) -> ChainClassification:
     quotient = hj_value(chain)
     if (d * n * n, d * n * a - 1) != (quotient.m, quotient.q):
         raise RuntimeError(
-            f"internal error: chain {b} reduces to seed {seed} with (d, n, a) = "
+            f"chain {b} reduces to seed {seed} with (d, n, a) = "
             f"{(d, n, a)}, which does not give 1/{quotient.m}(1,{quotient.q})"
         )
     return ChainClassification(

@@ -2,7 +2,10 @@
 
 Each subcommand prints one report in text or JSON; `report.py` defines its
 shape and both encodings.  Exit codes: 0 all identities pass, 1 some identity
-failed (report still emitted), 2 invalid input.
+failed (report still emitted), 2 invalid input, 3 internal error.  Invalid
+input is a usage error or a `ValueError`; any other exception, such as the
+`RuntimeError` of a failed internal consistency check, is an internal error,
+reported on stderr with its traceback and no report.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def print_help(self, file: Optional[IO[str]] = None) -> None:
         raise HelpRequested(self.format_help())
+
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        # Newer argparse releases print the choices with str() rather than
+        # repr(); this keeps one wording on every supported Python.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
 
 
 def _parse_chain(text: str) -> tuple[int, ...]:
@@ -253,6 +265,10 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_single_contraction)
 
+    # Spelled out, because argparse wraps a generated usage line differently
+    # across Python versions.  Set last: add_subparsers derives the
+    # subcommands' prog from the usage line.
+    parser.usage = f"%(prog)s [-h] {{{','.join(sub.choices)}}} ..."
     return parser
 
 
@@ -273,15 +289,21 @@ def run(
         out.write(str(exc))
         return 0
     try:
-        command, report = args.handler(args)
-    except (ValueError, RuntimeError) as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    body = payload(command, report)
-    if args.json:
-        write_json(body, out)
-    else:
-        write_text(body, out)
+        try:
+            command, report = args.handler(args)
+        except ValueError as exc:
+            err.write(f"error: {exc}\n")
+            return 2
+        body = payload(command, report)
+        if args.json:
+            write_json(body, out)
+        else:
+            write_text(body, out)
+    except Exception as exc:
+        import traceback
+
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n{traceback.format_exc()}")
+        return 3
     return 0 if report.all_passed else 1
 
 

@@ -9,60 +9,71 @@ prescribed fiber tangencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .lattice import BlownHirzebruch, DivisorClass
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
     """(p_g, q, chi, K^2, e) with any subset of fields known.
 
     Whenever enough fields are present the relations chi = 1 - q + p_g and
     12*chi = K^2 + e are enforced at construction.
     """
 
-    p_g: Optional[int] = None
-    q: Optional[int] = None
-    chi: Optional[int] = None
-    K2: Optional[int] = None
-    e: Optional[int] = None
+    __slots__ = ("p_g", "q", "chi", "K2", "e")
+    p_g: Optional[int]
+    q: Optional[int]
+    chi: Optional[int]
+    K2: Optional[int]
+    e: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.p_g is not None and self.p_g < 0:
-            raise ValueError(f"p_g must be nonnegative, got {self.p_g}")
-        if self.q is not None and self.q < 0:
-            raise ValueError(f"q must be nonnegative, got {self.q}")
-        if None not in (self.p_g, self.q, self.chi) and self.chi != 1 - self.q + self.p_g:
-            raise ValueError(
-                f"chi={self.chi} inconsistent with 1 - q + p_g = {1 - self.q + self.p_g}"
-            )
-        if None not in (self.chi, self.K2, self.e) and 12 * self.chi != self.K2 + self.e:
-            raise ValueError(
-                f"12*chi = {12 * self.chi} but K^2 + e = {self.K2 + self.e}"
-            )
+    def __init__(
+        self,
+        p_g: Optional[int] = None,
+        q: Optional[int] = None,
+        chi: Optional[int] = None,
+        K2: Optional[int] = None,
+        e: Optional[int] = None,
+    ) -> None:
+        if p_g is not None and p_g < 0:
+            raise ValueError(f"p_g must be nonnegative, got {p_g}")
+        if q is not None and q < 0:
+            raise ValueError(f"q must be nonnegative, got {q}")
+        if None not in (p_g, q, chi) and chi != 1 - q + p_g:
+            raise ValueError(f"chi={chi} inconsistent with 1 - q + p_g = {1 - q + p_g}")
+        if None not in (chi, K2, e) and 12 * chi != K2 + e:
+            raise ValueError(f"12*chi = {12 * chi} but K^2 + e = {K2 + e}")
+        super().__init__(p_g, q, chi, K2, e)
 
 
 #: Invariants shared by every Hirzebruch surface.
 HIRZEBRUCH_INVARIANTS = SurfaceInvariants(p_g=0, q=0, chi=1, K2=8, e=4)
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     """A double cover of a Hirzebruch surface branched in |2L|."""
 
+    __slots__ = ("base", "base_invariants", "half_class", "degree")
     base: BlownHirzebruch
     base_invariants: SurfaceInvariants
     half_class: DivisorClass
-    degree: int = 2
+    degree: int
 
-    def __post_init__(self) -> None:
-        if self.degree != 2:
-            raise ValueError(f"only double covers are supported, got degree {self.degree}")
-        if len(self.half_class.coeffs) != self.base.rank:
+    def __init__(
+        self,
+        base: BlownHirzebruch,
+        base_invariants: SurfaceInvariants,
+        half_class: DivisorClass,
+        degree: int = 2,
+    ) -> None:
+        if degree != 2:
+            raise ValueError(f"only double covers are supported, got degree {degree}")
+        if len(half_class.coeffs) != base.rank:
             raise ValueError("half_class does not live on the base lattice")
+        super().__init__(base, base_invariants, half_class, degree)
 
 
 def h0_hirzebruch(n: int, a: int, b: int) -> int:
@@ -101,14 +112,14 @@ def double_cover_invariants(cover: CoverSpec) -> SurfaceInvariants:
     return SurfaceInvariants(p_g=p_g, q=q, chi=chi, K2=K2, e=12 * chi - K2)
 
 
-@dataclass(frozen=True)
-class H1Margin:
+class H1Margin(Record):
     """Degree criterion deg K_D - D^2 = D.K; negative forces H^1(O(D)) = 0.
 
     Valid when D is an irreducible nonsingular curve on a surface with
     p_g = q = 0; that hypothesis is the caller's to assert.
     """
 
+    __slots__ = ("margin", "vanishes")
     margin: int
     vanishes: bool
 
@@ -118,8 +129,8 @@ def h1_vanishing_by_degree(surface: BlownHirzebruch, d: DivisorClass) -> H1Margi
     return H1Margin(margin=margin, vanishes=margin < 0)
 
 
-@dataclass(frozen=True)
-class NoetherResult:
+class NoetherResult(Record):
+    __slots__ = ("margin", "satisfied", "on_line")
     margin: int
     satisfied: bool
     on_line: bool
@@ -133,8 +144,8 @@ def noether_check(inv: SurfaceInvariants) -> NoetherResult:
     return NoetherResult(margin=margin, satisfied=margin >= 0, on_line=margin == 0)
 
 
-@dataclass(frozen=True)
-class TangencyCount:
+class TangencyCount(Record):
+    __slots__ = ("conditions", "h0", "margin")
     conditions: int
     h0: int
     margin: int

@@ -9,21 +9,23 @@ so no overflow handling is needed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class DivisorClass:
+
+class DivisorClass(Record):
     """Integer coefficient vector of a divisor class on a fixed basis."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        for c in self.coeffs:
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)
+        for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"divisor coefficients must be integers, got {c!r}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -58,10 +60,10 @@ class DivisorClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class NegativityResult:
+class NegativityResult(Record):
     """Mutual Gram matrix of a family of classes and its definiteness verdict."""
 
+    __slots__ = ("gram", "negative_definite", "vacuous")
     gram: tuple[tuple[int, ...], ...]
     negative_definite: bool
     vacuous: bool
@@ -114,8 +116,7 @@ def _leading_minors(gram: Sequence[Sequence[int]]) -> Iterator[int]:
         minors.append(pivot)
 
 
-@dataclass(frozen=True)
-class BlownHirzebruch:
+class BlownHirzebruch(Record):
     """The Picard lattice of a Hirzebruch surface F_n blown up k times.
 
     Basis (C0, f, e1, ..., ek) with Gram matrix
@@ -128,14 +129,16 @@ class BlownHirzebruch:
     singles out as curve classes.
     """
 
+    __slots__ = ("hirzebruch_index", "blowup_count")
     hirzebruch_index: int
-    blowup_count: int = 0
+    blowup_count: int
 
-    def __post_init__(self) -> None:
-        if self.hirzebruch_index < 0:
+    def __init__(self, hirzebruch_index: int, blowup_count: int = 0) -> None:
+        if hirzebruch_index < 0:
             raise ValueError("hirzebruch_index must be nonnegative")
-        if self.blowup_count < 0:
+        if blowup_count < 0:
             raise ValueError("blowup_count must be nonnegative")
+        super().__init__(hirzebruch_index, blowup_count)
 
     @property
     def rank(self) -> int:
@@ -221,6 +224,7 @@ class BlownHirzebruch:
         return self.divisor(-2, -(n + 2), *([1] * self.blowup_count))
 
     def blow_up(self) -> "BlownHirzebruch":
+        """The same surface blown up at one more point."""
         return BlownHirzebruch(self.hirzebruch_index, self.blowup_count + 1)
 
     def total_transform(self, d: DivisorClass) -> DivisorClass:

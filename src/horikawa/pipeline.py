@@ -20,9 +20,9 @@ report's shape and encodings live in `report.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .blowdown import ContractionSet, branch_compatibility, smoothing_invariants
 from .classt import CLASS_T, ResolutionChain, hj_value, recognize_class_t
 from .covers import (
@@ -54,14 +54,14 @@ H1_HYPOTHESIS = (
 )
 
 
-@dataclass(frozen=True)
-class EnConfiguration:
+class EnConfiguration(Record):
     """The named curve classes on Z_n.
 
     u[i-1] holds U_i, so u runs from U_1 (meeting E2) up to U_{n-3} = pull_c0;
     chain_classes lists them top-down, matching the chain [n, 2, ..., 2].
     """
 
+    __slots__ = ("n", "surface", "pull_c0", "f0", "E1", "E2", "u", "pull_d", "delta", "K", "L")
     n: int
     surface: BlownHirzebruch
     pull_c0: DivisorClass

@@ -16,10 +16,10 @@ as {"num": ..., "den": ...} in JSON and as num/den in text; no floats anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO
+from typing import IO, Optional
 
+from ._record import Record
 from .blowdown import SmoothedFiberInvariants
 from .classt import CLASS_T, ChainClassification
 from .covers import SurfaceInvariants
@@ -29,8 +29,8 @@ DERIVED = "derived"
 TRIVIAL = "trivial"
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
+    __slots__ = ("name", "expected", "computed", "passed", "provenance")
     name: str
     expected: object
     computed: object
@@ -42,14 +42,26 @@ def check(name: str, expected: object, computed: object, provenance: str) -> Ide
     return Identity(name, expected, computed, expected == computed, provenance)
 
 
-@dataclass(frozen=True)
-class EnReport:
-    """One pipeline run: inputs, identity ledger, flagged findings, raw data."""
+class EnReport(Record):
+    """One pipeline run: inputs, identity ledger, flagged findings, raw data.
 
+    Omitted `invariants` start as a fresh empty dict per report.
+    """
+
+    __slots__ = ("inputs", "identities", "flags", "invariants")
     inputs: dict
     identities: tuple[Identity, ...]
-    flags: tuple[dict, ...] = field(default_factory=tuple)
-    invariants: dict = field(default_factory=dict)
+    flags: tuple[dict, ...]
+    invariants: dict
+
+    def __init__(
+        self,
+        inputs: dict,
+        identities: tuple[Identity, ...],
+        flags: tuple[dict, ...] = (),
+        invariants: Optional[dict] = None,
+    ) -> None:
+        super().__init__(inputs, identities, flags, {} if invariants is None else invariants)
 
     @property
     def verdict(self) -> str:
@@ -63,6 +75,7 @@ class EnReport:
         return all(i.passed for i in self.identities)
 
     def failures(self) -> tuple[Identity, ...]:
+        """The identities that did not pass, in ledger order."""
         return tuple(i for i in self.identities if not i.passed)
 
     def identity(self, name: str) -> Identity:
@@ -142,24 +155,28 @@ def _fmt(value: object) -> str:
 
 
 def write_text(body: dict, out: IO[str]) -> None:
-    out.write(f"command: {body['command']}\n")
+    """Render the whole text first, so a rendering failure writes nothing."""
+    lines: list[str] = []
+    write = lines.append
+    write(f"command: {body['command']}\n")
     inputs = " ".join(f"{k}={_fmt(v)}" for k, v in body["inputs"].items())
-    out.write(f"inputs: {inputs}\n")
+    write(f"inputs: {inputs}\n")
     if body["identities"]:
-        out.write("identities:\n")
+        write("identities:\n")
         for row in body["identities"]:
             status = "pass" if row["pass"] else "FAIL"
-            out.write(
+            write(
                 f"  [{status}] {row['name']}: expected {_fmt(row['expected'])}, "
                 f"computed {_fmt(row['computed'])} ({row['provenance']})\n"
             )
     if body["flags"]:
-        out.write("flags:\n")
+        write("flags:\n")
         for flag in body["flags"]:
             rest = " ".join(f"{k}={_fmt(v)}" for k, v in flag.items() if k != "name")
-            out.write(f"  {flag.get('name', 'flag')}: {rest}\n")
+            write(f"  {flag.get('name', 'flag')}: {rest}\n")
     if body["invariants"]:
-        out.write("invariants:\n")
+        write("invariants:\n")
         for key, value in body["invariants"].items():
-            out.write(f"  {key}: {_fmt(value)}\n")
-    out.write(f"verdict: {body['verdict']}\n")
+            write(f"  {key}: {_fmt(value)}\n")
+    write(f"verdict: {body['verdict']}\n")
+    out.write("".join(lines))

@@ -2,6 +2,10 @@
 
 Core claims:
     - exit codes: 0 on clean reports, 2 on invalid input, usage text on stderr
+    - an exception other than ValueError, from a handler or an encoder, exits
+      3 with an `internal error:` line and its traceback on stderr and
+      nothing on stdout
+    - an invalid choice is worded the same on every supported Python
     - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
     - `class-t recognize` answers the configuration chain [n, 2, ..., 2] for
       n = 1313 and 5000 in a fresh process at the default recursion limit
@@ -21,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import horikawa
+from horikawa import cli
 from horikawa.classt import ResolutionChain, recognize_class_t
 from horikawa.cli import run
 
@@ -221,6 +226,60 @@ def test_single_contraction_command():
 def test_unknown_subcommand():
     code, _, err = invoke("frobnicate")
     assert code == 2 and "usage" in err
+    assert err.endswith(
+        "error: argument command: invalid choice: 'frobnicate' (choose from 'hj', "
+        "'class-t', 'en-report', 'horikawa', 'blowdown', 'w4', 'single-contraction')\n"
+    )
+
+
+def test_invalid_int_choice_is_not_quoted():
+    code, _, err = invoke("w4", "--count", "3")
+    assert code == 2
+    assert err.endswith("error: argument --count: invalid choice: 3 (choose from 1, 2)\n")
+
+
+# -- internal faults --------------------------------------------------------------
+
+def _raise(exc):
+    def stage(*args, **kwargs):
+        raise exc
+
+    return stage
+
+
+@pytest.mark.parametrize(
+    "stage, exc, argv",
+    [
+        ("recognize_class_t", RuntimeError("seed check failed"),
+         ["class-t", "recognize", "--chain", "3,2,3"]),
+        ("recognize_class_t", RecursionError("maximum recursion depth exceeded"),
+         ["class-t", "recognize", "--chain", "3,2,3", "--json"]),
+        ("hj_value", ZeroDivisionError("division by zero"), ["hj", "--chain", "5,2"]),
+        ("write_json", TypeError("cannot serialize"), ["horikawa", "--n", "5", "--json"]),
+        ("write_text", KeyError("verdict"), ["horikawa", "--n", "5"]),
+        ("payload", ValueError("encoder fault"), ["horikawa", "--n", "5"]),
+    ],
+)
+def test_internal_fault_exits_three(monkeypatch, stage, exc, argv):
+    monkeypatch.setattr(cli, stage, _raise(exc))
+    code, out, err = invoke(*argv)
+    assert (code, out) == (3, "")
+    first, *trace = err.splitlines()
+    assert first == f"internal error: {type(exc).__name__}: {exc}"
+    assert trace[0] == "Traceback (most recent call last):"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_encoder_fault_writes_no_partial_report(monkeypatch, fmt):
+    monkeypatch.setattr(cli, "invariants_dict", lambda inv: {"p_g": object()})
+    code, out, err = invoke("horikawa", "--n", "5", *fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: TypeError: ")
+
+
+def test_handler_value_error_stays_invalid_input(monkeypatch):
+    monkeypatch.setattr(cli, "recognize_class_t", _raise(ValueError("bad chain")))
+    assert invoke("class-t", "recognize", "--chain", "3,2,3") == (2, "", "error: bad chain\n")
 
 
 # -- serialization guarantees -----------------------------------------------------

@@ -19,11 +19,19 @@ regenerate both files after a deliberate output change, run from the
 repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To replay both files through `cli.run` without pytest, for instance under
+each Python version the package supports, run:
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+It prints every mismatching line and the mismatch count, and exits 1 on any.
 """
 
 import hashlib
 import io
 import os
+import sys
 from pathlib import Path
 
 from horikawa.cli import run
@@ -166,8 +174,28 @@ def test_cli_matches_golden_hashes(monkeypatch):
     assert [_cli_line(argv) for argv in CLI_CALLS] == expected
 
 
+def _replay() -> int:
+    """Rerun every call recorded in the golden files; print and count the lines that differ."""
+    mismatches = 0
+    for name in ("en_report.sha256", "cli.sha256"):
+        for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
+            call = line.rsplit(" ", 3)[0]
+            if name == "en_report.sha256":
+                n, fmt = call.split()
+                got = _en_report_line(int(n), fmt)
+            else:
+                got = _cli_line(call.split())
+            if got != line:
+                mismatches += 1
+                print(f"{name}: expected {line}\n{name}: got      {got}")
+    print(f"{mismatches} mismatches")
+    return mismatches
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if _replay() else 0)
     (GOLDEN / "en_report.sha256").write_text(
         "".join(_en_report_line(n, fmt) + "\n" for n, fmt in EN_REPORT_CALLS), encoding="utf-8"
     )
