@@ -31,7 +31,6 @@ from .classt import (
 )
 from .covers import (
     HIRZEBRUCH_INVARIANTS,
-    CoverSpec,
     H1Margin,
     NoetherResult,
     SurfaceInvariants,
@@ -73,7 +72,6 @@ __all__ = [
     "recognize_class_t",
     "generate_class_t",
     "SurfaceInvariants",
-    "CoverSpec",
     "H1Margin",
     "NoetherResult",
     "TangencyCount",

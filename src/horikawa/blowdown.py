@@ -1,7 +1,9 @@
 """Invariant bookkeeping for chain contraction and Q-Gorenstein smoothing.
 
 Contracting a negative chain adds sum_i d_i*(b_i - 2) to K^2, where the
-discrepancy vector (d_i) solves the chain's tridiagonal intersection system.
+discrepancy vector (d_i) solves the chain's tridiagonal intersection system;
+its closed form in Hirzebruch-Jung continuants (Kollar-Mori, section 4) is
+d_i = 1 - (K(b_1..b_{i-1}) + K(b_{i+1}..b_r)) / K(b_1..b_r).
 Smoothing a class-T point whose resolution chain has length r and smoothing
 dimension d drops the Euler number by r + 1 - d: the contraction removes r
 curves and the Milnor fiber of the point contributes Euler number d in place
@@ -22,6 +24,7 @@ from .classt import (
     RATIONAL_DOUBLE_POINT,
     ChainClassification,
     ResolutionChain,
+    _continuants,
     recognize_class_t,
 )
 from .covers import SurfaceInvariants
@@ -31,26 +34,22 @@ from .lattice import BlownHirzebruch, DivisorClass
 def discrepancies(chain: ResolutionChain) -> tuple[Fraction, ...]:
     """Exact solution (d_i) of sum_i d_i (E_i.E_j) = -(b_j - 2) for all j.
 
-    The chain Gram matrix is tridiagonal with diagonal -b_i and unit
-    off-diagonals; one forward elimination sweep and one back substitution,
-    all in exact rationals.  Valid chains give 0 <= d_i < 1.
+    In Hirzebruch-Jung continuants K (Kollar-Mori, Birational Geometry of
+    Algebraic Varieties, section 4), with m = K(b_1..b_r),
+
+        d_i = 1 - (K(b_1..b_{i-1}) + K(b_{i+1}..b_r)) / m,
+
+    read off one forward and one backward continuant pass.  Valid chains
+    give 0 <= d_i < 1.
     """
     b = chain.b
     r = len(b)
-    diag = [Fraction(-bi) for bi in b]
-    rhs = [Fraction(2 - bi) for bi in b]
-    for i in range(1, r):
-        if diag[i - 1] == 0:
-            raise RuntimeError(f"singular chain matrix for {b}")
-        diag[i] -= Fraction(1) / diag[i - 1]
-        rhs[i] -= rhs[i - 1] / diag[i - 1]
-    if diag[-1] == 0:
+    head = _continuants(b)
+    tail = _continuants(b[::-1])
+    m = head[r]
+    if m == 0:
         raise RuntimeError(f"singular chain matrix for {b}")
-    sol = [Fraction(0)] * r
-    sol[-1] = rhs[-1] / diag[-1]
-    for i in range(r - 2, -1, -1):
-        sol[i] = (rhs[i] - sol[i + 1]) / diag[i]
-    out = tuple(sol)
+    out = tuple(Fraction(m - head[i] - tail[r - 1 - i], m) for i in range(r))
     if not all(0 <= d < 1 for d in out):
         raise RuntimeError(f"discrepancies {out} out of [0,1) for {b}")
     return out

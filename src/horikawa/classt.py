@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 
@@ -155,17 +155,25 @@ def hj_expand(x: CyclicQuotient) -> ResolutionChain:
     return ResolutionChain(tuple(out))
 
 
+def _continuants(b: Sequence[int]) -> list[int]:
+    """[K(), K(b_1), ..., K(b_1..b_r)] by K(b_1..b_i) = b_i*K(b_1..b_{i-1}) - K(b_1..b_{i-2})."""
+    out = [1]
+    prev, current = 0, 1
+    for entry in b:
+        prev, current = current, entry * current - prev
+        out.append(current)
+    return out
+
+
 def hj_value(chain: ResolutionChain) -> CyclicQuotient:
     """Evaluate the chain's continued fraction back to a quotient 1/m(1,q).
 
-    m = K(b_1..b_r) and q = K(b_2..b_r) are continuants, built from the tail
-    by K(b_i..b_r) = b_i*K(b_{i+1}..b_r) - K(b_{i+2}..b_r).  Consecutive
-    continuants are coprime, so m/q is already in lowest terms.
+    m = K(b_1..b_r) and q = K(b_2..b_r) are the last two continuants of the
+    reversed chain (a continuant reads the same in either direction).
+    Consecutive continuants are coprime, so m/q is already in lowest terms.
     """
-    m, q = 1, 0
-    for b in reversed(chain.b):
-        m, q = b * m - q, m
-    return CyclicQuotient(m, q)
+    k = _continuants(chain.b[::-1])
+    return CyclicQuotient(k[-1], k[-2])
 
 
 def expand_t_chain(chain: ResolutionChain) -> tuple[ResolutionChain, ResolutionChain]:

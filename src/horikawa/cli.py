@@ -84,6 +84,8 @@ def _classification_invariants(chain: ResolutionChain) -> dict:
 def _cmd_hj(args: argparse.Namespace) -> tuple[str, EnReport]:
     if args.chain is None and (args.m is None or args.q is None):
         raise ValueError("hj needs either --m and --q, or --chain")
+    if args.chain is not None and (args.m is not None or args.q is not None):
+        raise ValueError("hj takes either --m and --q, or --chain, not both")
     if args.chain is not None:
         chain = ResolutionChain(args.chain)
         quotient = hj_value(chain)

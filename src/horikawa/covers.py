@@ -53,29 +53,6 @@ class SurfaceInvariants(Record):
 HIRZEBRUCH_INVARIANTS = SurfaceInvariants(p_g=0, q=0, chi=1, K2=8, e=4)
 
 
-class CoverSpec(Record):
-    """A double cover of a Hirzebruch surface branched in |2L|."""
-
-    __slots__ = ("base", "base_invariants", "half_class", "degree")
-    base: BlownHirzebruch
-    base_invariants: SurfaceInvariants
-    half_class: DivisorClass
-    degree: int
-
-    def __init__(
-        self,
-        base: BlownHirzebruch,
-        base_invariants: SurfaceInvariants,
-        half_class: DivisorClass,
-        degree: int = 2,
-    ) -> None:
-        if degree != 2:
-            raise ValueError(f"only double covers are supported, got degree {degree}")
-        if len(half_class.coeffs) != base.rank:
-            raise ValueError("half_class does not live on the base lattice")
-        super().__init__(base, base_invariants, half_class, degree)
-
-
 def h0_hirzebruch(n: int, a: int, b: int) -> int:
     """dim H^0 of a*C0 + b*f on F_n: sum over fiber multiples of the section.
 
@@ -87,18 +64,17 @@ def h0_hirzebruch(n: int, a: int, b: int) -> int:
     return sum(max(0, b - k * n + 1) for k in range(a + 1))
 
 
-def double_cover_invariants(cover: CoverSpec) -> SurfaceInvariants:
-    """Invariants of the double cover branched in twice the half class.
+def double_cover_invariants(base: BlownHirzebruch, half: DivisorClass) -> SurfaceInvariants:
+    """Invariants of the double cover of F_n branched in twice the half class.
 
-    p_g grows by the sections of K_base + L, chi by the usual half pairing
-    term, and K^2 doubles the square of K_base + L; q and e then follow from
-    chi = 1 - q + p_g and 12*chi = K^2 + e.
+    The base is an unblown Hirzebruch surface, so its invariants are
+    HIRZEBRUCH_INVARIANTS.  p_g grows by the sections of K_base + L, chi by
+    the usual half pairing term, and K^2 doubles the square of K_base + L;
+    q and e then follow from chi = 1 - q + p_g and 12*chi = K^2 + e.
     """
-    base, inv, half = cover.base, cover.base_invariants, cover.half_class
-    if inv.p_g is None or inv.q is None or inv.chi is None:
-        raise ValueError("base invariants must include p_g, q and chi")
     if base.blowup_count != 0:
         raise ValueError("section counts are only available on an unblown Hirzebruch base")
+    inv = HIRZEBRUCH_INVARIANTS
     adjoint = base.canonical_class() + half
     p_g = inv.p_g + h0_hirzebruch(base.hirzebruch_index, adjoint.coeffs[0], adjoint.coeffs[1])
     chi_exact = 2 * inv.chi + Fraction(

@@ -26,8 +26,6 @@ from ._record import Record
 from .blowdown import ContractionSet, branch_compatibility, smoothing_invariants
 from .classt import CLASS_T, ResolutionChain, hj_value, recognize_class_t
 from .covers import (
-    HIRZEBRUCH_INVARIANTS,
-    CoverSpec,
     SurfaceInvariants,
     double_cover_invariants,
     h0_hirzebruch,
@@ -118,8 +116,7 @@ def elliptic_surface_invariants(n: int) -> SurfaceInvariants:
     if n < 4:
         raise ValueError("elliptic cover needs n >= 4")
     base = BlownHirzebruch(n, 0)
-    half = base.divisor(2, 2 * n)
-    return double_cover_invariants(CoverSpec(base, HIRZEBRUCH_INVARIANTS, half))
+    return double_cover_invariants(base, base.divisor(2, 2 * n))
 
 
 def horikawa_direct(n: int) -> SurfaceInvariants:
@@ -127,8 +124,7 @@ def horikawa_direct(n: int) -> SurfaceInvariants:
     if n < 4:
         raise ValueError("direct double cover needs n >= 4")
     base = BlownHirzebruch(n - 3, 0)
-    half = base.divisor(3, 2 * n - 4)
-    return double_cover_invariants(CoverSpec(base, HIRZEBRUCH_INVARIANTS, half))
+    return double_cover_invariants(base, base.divisor(3, 2 * n - 4))
 
 
 def _configuration_chain(n: int) -> ResolutionChain:

@@ -22,8 +22,6 @@ from horikawa.classt import (
     recognize_class_t,
 )
 from horikawa.covers import (
-    HIRZEBRUCH_INVARIANTS,
-    CoverSpec,
     double_cover_invariants,
     h0_hirzebruch,
     noether_check,
@@ -69,9 +67,7 @@ def test_criterion_2_elliptic_double_cover():
     with criterion("criterion 2: cover of F_n in |4(C0+nf)| has (n-1, 0, n, 0), n in 5..20"):
         for n in range(5, 21):
             base = BlownHirzebruch(n, 0)
-            inv = double_cover_invariants(
-                CoverSpec(base, HIRZEBRUCH_INVARIANTS, base.divisor(2, 2 * n))
-            )
+            inv = double_cover_invariants(base, base.divisor(2, 2 * n))
             assert (inv.p_g, inv.q, inv.chi, inv.K2) == (n - 1, 0, n, 0)
 
 

@@ -2,8 +2,10 @@
 
 Core claims:
     - discrepancy vectors exactly solve the tridiagonal chain system, lie in
-      [0, 1), vanish for all-2 chains and are positive once some b_i >= 3
-    - K^2 corrections: [4] gives 1, the d = 1 family [r+3, 2^(r-1)] gives r
+      [0, 1), vanish for all-2 chains and are positive once some b_i >= 3,
+      on short random chains and on class-T chains up to 60 moves deep
+    - K^2 corrections: [4] gives 1, the d = 1 family [r+3, 2^(r-1)] gives r,
+      and every class-T chain of length r and seed length d gives r - d + 1
     - smoothing the elliptic family with two configuration chains reproduces
       the direct double cover; outputs always satisfy 12*chi = K^2 + e
     - contraction sets enforce the plumbing shape and disjointness, and
@@ -23,7 +25,7 @@ from horikawa.blowdown import (
     k2_correction,
     smoothing_invariants,
 )
-from horikawa.classt import ResolutionChain, recognize_class_t
+from horikawa.classt import ResolutionChain, expand_t_chain, recognize_class_t
 from horikawa.covers import SurfaceInvariants
 from horikawa.lattice import BlownHirzebruch
 from horikawa.pipeline import (
@@ -38,6 +40,19 @@ chains = st.builds(
 )
 
 
+def class_t_chain(d, moves):
+    """Apply end moves (0 prepend, 1 append) to the seed of length d."""
+    chain = ResolutionChain((4,) if d == 1 else (3,) + (2,) * (d - 2) + (3,))
+    for move in moves:
+        chain = expand_t_chain(chain)[move]
+    return chain
+
+
+seed_lengths = st.integers(1, 6)
+move_lists = st.lists(st.integers(0, 1), max_size=60)
+class_t_chains = st.builds(class_t_chain, seed_lengths, move_lists)
+
+
 # -- discrepancies ---------------------------------------------------------------
 
 def test_discrepancies_pinned_examples():
@@ -46,7 +61,7 @@ def test_discrepancies_pinned_examples():
     assert discrepancies(ResolutionChain((2, 2, 2))) == (Fraction(0), Fraction(0), Fraction(0))
 
 
-@given(chains)
+@given(st.one_of(chains, class_t_chains))
 def test_discrepancies_solve_the_chain_system(chain):
     b = chain.b
     d = discrepancies(chain)
@@ -59,7 +74,7 @@ def test_discrepancies_solve_the_chain_system(chain):
         assert lhs == -(b[j] - 2)
 
 
-@given(chains)
+@given(st.one_of(chains, class_t_chains))
 def test_discrepancies_range_and_positivity(chain):
     d = discrepancies(chain)
     assert all(0 <= x < 1 for x in d)
@@ -86,6 +101,12 @@ def test_correction_of_the_d1_family(r):
 @pytest.mark.parametrize("n", range(5, 21))
 def test_correction_of_configuration_chain(n):
     assert k2_correction(ResolutionChain((n,) + (2,) * (n - 4))) == n - 3
+
+
+@given(seed_lengths, move_lists)
+def test_correction_of_class_t_chain_is_length_minus_d_plus_one(d, moves):
+    chain = class_t_chain(d, moves)
+    assert k2_correction(chain) == len(chain) - d + 1
 
 
 # -- smoothing --------------------------------------------------------------------

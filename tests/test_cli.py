@@ -7,6 +7,7 @@ Core claims:
       nothing on stdout
     - an invalid choice is worded the same on every supported Python
     - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
+    - `hj` refuses --chain together with --m or --q instead of dropping them
     - `class-t recognize` answers the configuration chain [n, 2, ..., 2] for
       n = 1313 and 5000 in a fresh process at the default recursion limit
     - --help writes its text to run's `out` and exits 0
@@ -59,6 +60,13 @@ def test_hj_rejects_non_coprime():
 def test_hj_needs_arguments():
     code, _, err = invoke("hj")
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [["--m", "9", "--q", "2"], ["--m", "9"], ["--q", "2"]])
+def test_hj_refuses_chain_with_quotient(extra):
+    code, out, err = invoke("hj", *extra, "--chain", "6,2,2")
+    assert (code, out) == (2, "")
+    assert err == "error: hj takes either --m and --q, or --chain, not both\n"
 
 
 def test_class_t_recognize():

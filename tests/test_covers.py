@@ -4,7 +4,8 @@ Core claims:
     - h0_hirzebruch matches two independent oracles (monomial count and the
       exact-sequence ladder for multiples of C0 + nf) and is monotone
     - double-cover invariants reproduce the pinned families on F_n, F_{n-3}
-      and F_4, and always satisfy both coherence relations
+      and F_4, and always satisfy both coherence relations; a blown-up base
+      or a half class from another lattice is refused
     - the H^1 degree margin equals D.K; Noether margins and the tangency
       condition count match their closed forms
 """
@@ -14,8 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from horikawa.covers import (
-    HIRZEBRUCH_INVARIANTS,
-    CoverSpec,
     SurfaceInvariants,
     double_cover_invariants,
     h0_hirzebruch,
@@ -87,24 +86,24 @@ def test_negative_index_rejected():
 
 def _cover(n, a, b):
     base = BlownHirzebruch(n, 0)
-    return CoverSpec(base, HIRZEBRUCH_INVARIANTS, base.divisor(a, b))
+    return double_cover_invariants(base, base.divisor(a, b))
 
 
 @pytest.mark.parametrize("n", range(5, 21))
 def test_elliptic_cover_family(n):
-    inv = double_cover_invariants(_cover(n, 2, 2 * n))
+    inv = _cover(n, 2, 2 * n)
     assert (inv.p_g, inv.q, inv.chi, inv.K2) == (n - 1, 0, n, 0)
     assert inv.e == 12 * n
 
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_horikawa_cover_family(n):
-    inv = double_cover_invariants(_cover(n - 3, 3, 2 * n - 4))
+    inv = _cover(n - 3, 3, 2 * n - 4)
     assert (inv.p_g, inv.q, inv.chi, inv.K2) == (n - 1, 0, n, 2 * n - 6)
 
 
 def test_f4_cover_example():
-    inv = double_cover_invariants(_cover(4, 2, 8))
+    inv = _cover(4, 2, 8)
     assert (inv.p_g, inv.q, inv.chi, inv.K2) == (3, 0, 4, 0)
 
 
@@ -112,7 +111,7 @@ def test_f4_cover_example():
 def test_cover_invariants_always_coherent(n, a, extra):
     # half classes a*C0 + (a*n + extra)*f stay on the cover-like side, where
     # the formulas yield an honest invariant set
-    inv = double_cover_invariants(_cover(n, a, a * n + extra))
+    inv = _cover(n, a, a * n + extra)
     # construction would raise otherwise; restate the relations explicitly
     assert inv.chi == 1 - inv.q + inv.p_g
     assert 12 * inv.chi == inv.K2 + inv.e
@@ -120,22 +119,14 @@ def test_cover_invariants_always_coherent(n, a, extra):
 
 def test_cover_requires_unblown_base():
     base = BlownHirzebruch(4, 1)
-    spec = CoverSpec(base, HIRZEBRUCH_INVARIANTS, base.divisor(2, 8))
     with pytest.raises(ValueError):
-        double_cover_invariants(spec)
+        double_cover_invariants(base, base.divisor(2, 8))
 
 
-def test_cover_requires_degree_two():
+def test_cover_rejects_half_class_of_wrong_rank():
     base = BlownHirzebruch(4, 0)
-    with pytest.raises(ValueError):
-        CoverSpec(base, HIRZEBRUCH_INVARIANTS, base.divisor(2, 8), degree=3)
-
-
-def test_cover_requires_base_invariants():
-    base = BlownHirzebruch(4, 0)
-    spec = CoverSpec(base, SurfaceInvariants(K2=8, e=4), base.divisor(2, 8))
-    with pytest.raises(ValueError):
-        double_cover_invariants(spec)
+    with pytest.raises(ValueError, match="different lattices"):
+        double_cover_invariants(base, BlownHirzebruch(4, 1).divisor(2, 8))
 
 
 # -- H^1 degree criterion --------------------------------------------------------------

@@ -33,7 +33,6 @@ from horikawa.classt import (
 )
 from horikawa.covers import (
     HIRZEBRUCH_INVARIANTS,
-    CoverSpec,
     H1Margin,
     NoetherResult,
     SurfaceInvariants,
@@ -59,7 +58,6 @@ SAMPLES = [
     (TData, (1, 3, 1)),
     (ChainClassification, (SEED, CLASS_T, TData(1, 2, 1), None, SEED, ())),
     (SurfaceInvariants, (0, 0, 1, 8, 4)),
-    (CoverSpec, (F4, HIRZEBRUCH_INVARIANTS, F4.divisor(2, 8), 2)),
     (H1Margin, (-24, True)),
     (NoetherResult, (0, True, True)),
     (TangencyCount, (6, 45, 39)),
