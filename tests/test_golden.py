@@ -7,9 +7,11 @@ Core claims:
     - every other subcommand writes the same bytes and exit code as recorded
       in tests/golden/cli.sha256: the README examples in text and --json,
       `hj`, `class-t recognize` and `expand` on class-T, non-class-T and
-      rational double point chains, `class-t generate --max-length 1..8`,
-      `horikawa` and `single-contraction` for n = 4..40, `w4`, `blowdown`,
-      `--help`, and every exit-2 message
+      rational double point chains, `class-t recognize --json` on the
+      configuration chains `[n, 2, ..., 2]` for n = 192 and 1313,
+      `class-t generate --max-length 1..8` in text and --json and 9..13 in
+      --json, `horikawa` and `single-contraction` for n = 4..40, `w4`,
+      `blowdown`, `--help`, and every exit-2 message
 
 Each line of en_report.sha256 is one call: n, format, exit code, then the
 SHA-256 of stdout and of stderr.  Each line of cli.sha256 is the argv joined
@@ -84,6 +86,11 @@ CHAIN_CALLS = [
     )
 ]
 
+CONFIGURATION_CALLS = [
+    ["class-t", "recognize", "--chain", ",".join(map(str, [n] + [2] * (n - 4))), "--json"]
+    for n in (192, 1313)
+]
+
 HJ_CALLS = [
     ["hj", "--m", m, "--q", q, "--json"]
     for m, q in (("2", "1"), ("7", "3"), ("16", "3"), ("36", "5"), ("97", "40"), ("1000", "999"))
@@ -128,9 +135,11 @@ HELP_CALLS = [["--help"], ["class-t", "recognize", "--help"], ["blowdown", "-h"]
 CLI_CALLS = (
     [argv + fmt for argv in README_CALLS for fmt in ([], ["--json"])]
     + CHAIN_CALLS
+    + CONFIGURATION_CALLS
     + HJ_CALLS
     + [["class-t", "generate", "--max-length", str(L)] + fmt
        for L in range(1, 9) for fmt in ([], ["--json"])]
+    + [["class-t", "generate", "--max-length", str(L), "--json"] for L in range(9, 14)]
     + [[cmd, "--n", str(n), "--json"] for cmd in ("horikawa", "single-contraction")
        for n in range(4, 41)]
     + [["w4", "--count", c] + fmt for c in ("1", "2") for fmt in ([], ["--json"])]
