@@ -10,19 +10,25 @@ Each identity carries a provenance tag: "published" for values stated by the
 construction being re-verified, "derived" for values this tool derives,
 "trivial" for built-in algebra.  The verdict is "pass" exactly when every
 published identity passes; flags never affect it.  Exact rationals are written
-as {"num": ..., "den": ...} in JSON and as num/den in text; no floats anywhere.
+as {"num": ..., "den": ...} in JSON and as num/den in text.  JSON comes from a
+writer for exactly the report's types, byte-identical to `json.dumps(indent=2)`;
+it refuses a float, a non-str key or any other object with a TypeError.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import IO, TYPE_CHECKING, Optional
 
 from ._record import Record
-from .blowdown import SmoothedFiberInvariants
-from .classt import CLASS_T, ChainClassification
-from .covers import SurfaceInvariants
+from .classt import CLASS_T
+
+if TYPE_CHECKING:
+    from .blowdown import SmoothedFiberInvariants
+    from .classt import ChainClassification
+    from .covers import SurfaceInvariants
 
 PUBLISHED = "published"
 DERIVED = "derived"
@@ -133,14 +139,46 @@ def payload(command: str, report: EnReport) -> dict:
     }
 
 
-def _rational(value: object) -> dict:
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
+def _json(value: object, pad: str) -> str:
+    """One value as `json.dumps(indent=2)` writes it at indentation `pad`."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"cannot serialize key {key!r}")
+            items.append(_quote(key) + ": " + _json(item, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is Fraction:
+        return _json({"num": value.numerator, "den": value.denominator}, pad)
     raise TypeError(f"cannot serialize {value!r}")
 
 
 def write_json(body: dict, out: IO[str]) -> None:
-    out.write(json.dumps(body, indent=2, default=_rational) + "\n")
+    """Build the whole text first, so an encoding failure writes nothing."""
+    out.write(_json(body, "") + "\n")
 
 
 def _fmt(value: object) -> str:

@@ -4,7 +4,8 @@ Core claims:
     - exit codes: 0 on clean reports, 2 on invalid input, usage text on stderr
     - an exception other than ValueError, from a handler or an encoder, exits
       3 with an `internal error:` line and its traceback on stderr and
-      nothing on stdout
+      nothing on stdout; a float or a non-str key in a JSON report is such a
+      fault, and its TypeError names the value
     - an invalid choice is worded the same on every supported Python
     - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
     - `hj` refuses --chain together with --m or --q instead of dropping them
@@ -283,6 +284,16 @@ def test_encoder_fault_writes_no_partial_report(monkeypatch, fmt):
     code, out, err = invoke("horikawa", "--n", "5", *fmt)
     assert (code, out) == (3, "")
     assert err.startswith("internal error: TypeError: ")
+
+
+@pytest.mark.parametrize(
+    "invariants, named", [({"p_g": 0.5}, "0.5"), ({4: 1}, "key 4")], ids=["float", "int-key"]
+)
+def test_json_writer_refuses_float_and_non_str_key(monkeypatch, invariants, named):
+    monkeypatch.setattr(cli, "invariants_dict", lambda inv: invariants)
+    code, out, err = invoke("horikawa", "--n", "5", "--json")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[0] == f"internal error: TypeError: cannot serialize {named}"
 
 
 def test_handler_value_error_stays_invalid_input(monkeypatch):
