@@ -28,7 +28,7 @@ from .classt import (
     recognize_class_t,
 )
 from .covers import SurfaceInvariants
-from .lattice import BlownHirzebruch, DivisorClass
+from .lattice import BlownHirzebruch, DivisorClass, NegativityResult
 
 
 def discrepancies(chain: ResolutionChain) -> tuple[Fraction, ...]:
@@ -69,15 +69,16 @@ class ContractionSet(Record):
 
     Construction verifies the plumbing shape (consecutive classes meet once,
     all other pairs are orthogonal, self-intersections are -b_i <= -2) and
-    classifies each chain; chains outside class T are rejected.  The shape
-    is read off each chain's Gram matrix, `surface.gram(chain)`; only the
-    disjointness of different chains is paired class by class.
+    classifies each chain; chains outside class T are rejected.  The shape is
+    read off each chain's `surface.negativity_check`, kept in `negativity`;
+    only the disjointness of different chains is paired class by class.
     """
 
-    __slots__ = ("surface", "chains", "classifications")
+    __slots__ = ("surface", "chains", "classifications", "negativity")
     surface: BlownHirzebruch
     chains: tuple[tuple[DivisorClass, ...], ...]
     classifications: tuple[ChainClassification, ...]
+    negativity: tuple[NegativityResult, ...]
 
     def __init__(
         self, surface: BlownHirzebruch, chains: Iterable[Iterable[DivisorClass]]
@@ -87,7 +88,7 @@ class ContractionSet(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Check the chains and set `classifications`.
+        """Check the chains and set `classifications` and `negativity`.
 
         Kept apart from `__init__` under this name, which benchmarks/tracer.py
         wraps on the class to time construction.
@@ -95,18 +96,16 @@ class ContractionSet(Record):
         object.__setattr__(self, "chains", tuple(tuple(c) for c in self.chains))
         pair = self.surface.pairing
         classifications = []
+        negativity = []
         for chain in self.chains:
             if not chain:
                 raise ValueError("empty chain in contraction set")
-            gram = self.surface.gram(chain)
-            b = []
-            for i, row in enumerate(gram):
-                self_int = row[i]
-                if self_int > -2:
-                    raise ValueError(
-                        f"chain class with self-intersection {self_int}; need <= -2"
-                    )
-                b.append(-self_int)
+            negativity.append(self.surface.negativity_check(chain))
+            gram = negativity[-1].gram
+            b = [-row[i] for i, row in enumerate(gram)]
+            for bi in b:
+                if bi < 2:
+                    raise ValueError(f"chain class with self-intersection {-bi}; need <= -2")
             for i, row in enumerate(gram):
                 for j in range(i + 1, len(row)):
                     expected = 1 if j == i + 1 else 0
@@ -126,6 +125,7 @@ class ContractionSet(Record):
                         if pair(a, c) != 0:
                             raise ValueError(f"chains {i} and {j} are not disjoint")
         object.__setattr__(self, "classifications", tuple(classifications))
+        object.__setattr__(self, "negativity", tuple(negativity))
 
 
 class ChainContribution(Record):
@@ -160,10 +160,10 @@ def smoothing_invariants(
 
     chi carries over; K^2 gains each chain's contraction correction; e drops
     by r + 1 - d per chain.  p_g, when present on the input, is carried over
-    as an inferred value (reports label it so).  The output must satisfy
-    12*chi = K^2 + e, otherwise the chain/d accounting is wrong and the call
-    fails.  Rational double point chains contribute nothing; each one is
-    skipped and recorded as a {"name": "warning", "detail": ...} flag.
+    as an inferred value (reports label it so).  A class-T chain adds the
+    integer r - d + 1 to K^2, so a non-integer K^2 or 12*chi != K^2 + e is a
+    fault here and raises RuntimeError.  Rational double point chains add
+    nothing; each is skipped and flagged {"name": "warning", "detail": ...}.
     """
     if v.K2 is None or v.e is None or v.chi is None:
         raise ValueError("smoothing needs K2, e and chi on the input invariants")
@@ -198,11 +198,11 @@ def smoothing_invariants(
         total_drop += drop
     k2_exact = v.K2 + total_correction
     if k2_exact.denominator != 1:
-        raise ValueError(f"K^2 correction sums to non-integer {k2_exact}")
+        raise RuntimeError(f"K^2 correction sums to non-integer {k2_exact}")
     k2 = int(k2_exact)
     e = v.e - total_drop
     if 12 * v.chi != k2 + e:
-        raise ValueError(
+        raise RuntimeError(
             f"accounting error: 12*chi = {12 * v.chi} but K^2 + e = {k2 + e}; "
             f"wrong chain/d combination"
         )

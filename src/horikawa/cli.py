@@ -17,6 +17,7 @@ from typing import IO, Optional, Sequence
 from . import pipeline
 from .blowdown import smoothing_invariants
 from .classt import (
+    ChainClassification,
     CyclicQuotient,
     ResolutionChain,
     expand_t_chain,
@@ -75,9 +76,9 @@ def _parse_chain(text: str) -> tuple[int, ...]:
     return entries
 
 
-def _classification_invariants(chain: ResolutionChain) -> dict:
-    out = classification_dict(recognize_class_t(chain))
-    out["reversed"] = classification_dict(recognize_class_t(chain.reversed()))
+def _classification_invariants(cls: ChainClassification) -> dict:
+    out = classification_dict(cls)
+    out["reversed"] = classification_dict(recognize_class_t(cls.chain.reversed()))
     return out
 
 
@@ -122,7 +123,7 @@ def _cmd_class_t_recognize(args: argparse.Namespace) -> tuple[str, EnReport]:
     report = EnReport(
         inputs={"chain": list(chain.b)},
         identities=tuple(identities),
-        invariants={"classification": _classification_invariants(chain)},
+        invariants={"classification": _classification_invariants(cls)},
     )
     return "class-t recognize", report
 
@@ -134,7 +135,7 @@ def _cmd_class_t_generate(args: argparse.Namespace) -> tuple[str, EnReport]:
         identities=(),
         invariants={
             "count": len(chains),
-            "chains": [list(c.b) for c in chains],
+            "chains": [c.b for c in chains],
         },
     )
     return "class-t generate", report
@@ -149,8 +150,8 @@ def _cmd_class_t_expand(args: argparse.Namespace) -> tuple[str, EnReport]:
         invariants={
             "prepend_child": list(left.b),
             "append_child": list(right.b),
-            "prepend_classification": _classification_invariants(left),
-            "append_classification": _classification_invariants(right),
+            "prepend_classification": _classification_invariants(recognize_class_t(left)),
+            "append_classification": _classification_invariants(recognize_class_t(right)),
         },
     )
     return "class-t expand", report

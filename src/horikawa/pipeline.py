@@ -175,20 +175,20 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
     ids.append(check("tangency_conditions", 3 * n - 9, tangency.conditions, PUBLISHED))
     ids.append(check("tangency_margin", 7 * n + 14, tangency.margin, DERIVED))
 
-    chain_classes = cfg.chain_classes
+    contraction = ContractionSet(surface, (cfg.chain_classes,))
+    (negativity,) = contraction.negativity
+    (classification,) = contraction.classifications
+    chain = classification.chain
     ids.append(
         check(
             "chain_self_pairings",
             [-n] + [-2] * (n - 4),
-            [pair(c, c) for c in chain_classes],
+            [row[i] for i, row in enumerate(negativity.gram)],
             PUBLISHED,
         )
     )
-    negativity = surface.negativity_check(chain_classes)
     ids.append(check("chain_negative_definite", True, negativity.negative_definite, PUBLISHED))
 
-    chain = _configuration_chain(n)
-    classification = recognize_class_t(chain)
     computed_class = [classification.kind]
     if classification.kind == CLASS_T:
         computed_class += [classification.tdata.d, classification.tdata.n, classification.tdata.a]
@@ -202,7 +202,6 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
         check("chain_reversed_is_class_t", CLASS_T, reversed_classification.kind, DERIVED)
     )
 
-    contraction = ContractionSet(surface, (chain_classes,))
     ids.append(
         check(
             "branch_chain_compatible",
@@ -372,7 +371,7 @@ def w4_example(count: int) -> EnReport:
         "h1_hypothesis": H1_HYPOTHESIS,
     }
     if count == 2:
-        invariants["direct_double_cover"] = invariants_dict(horikawa_direct(4))
+        invariants["direct_double_cover"] = invariants_dict(direct)
     return EnReport(
         inputs={"count": count},
         identities=tuple(ids),

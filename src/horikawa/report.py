@@ -12,12 +12,11 @@ construction being re-verified, "derived" for values this tool derives,
 published identity passes; flags never affect it.  Exact rationals are written
 as {"num": ..., "den": ...} in JSON and as num/den in text.  JSON comes from a
 writer for exactly the report's types, byte-identical to `json.dumps(indent=2)`;
-it refuses a float, a non-str key or any other object with a TypeError.
+both refuse a float or other foreign scalar, and JSON a non-str key, by TypeError.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, TYPE_CHECKING, Optional
@@ -189,7 +188,7 @@ def _fmt(value: object) -> str:
         return "{" + ", ".join(f"{k}={_fmt(v)}" for k, v in value.items()) + "}"
     if type(value) is Fraction:
         return f"{value.numerator}/{value.denominator}"
-    return json.dumps(value)
+    return _json(value, "")
 
 
 def write_text(body: dict, out: IO[str]) -> None:

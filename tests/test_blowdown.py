@@ -8,8 +8,9 @@ Core claims:
       and every class-T chain of length r and seed length d gives r - d + 1
     - smoothing the elliptic family with two configuration chains reproduces
       the direct double cover; outputs always satisfy 12*chi = K^2 + e
-    - contraction sets enforce the plumbing shape and disjointness, and
-      branch compatibility is monotone under adding chains
+    - contraction sets enforce the plumbing shape and disjointness, keep each
+      chain's negativity check, and branch compatibility is monotone under
+      adding chains
 """
 
 from fractions import Fraction
@@ -192,6 +193,24 @@ def test_contraction_set_rejects_minus_one_classes():
     cfg = build_en_configuration(6)
     with pytest.raises(ValueError, match="self-intersection"):
         ContractionSet(cfg.surface, ((cfg.E1,),))
+
+
+def test_contraction_set_rejects_a_repeated_class():
+    surface = BlownHirzebruch(4)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        ContractionSet(surface, ((surface.c0(), surface.c0()),))
+
+
+def test_contraction_set_keeps_each_chains_negativity_check():
+    surface = BlownHirzebruch(4, 3)
+    e1, e2, e3 = (surface.exceptional(i) for i in (1, 2, 3))
+    chains = ((surface.c0(),), (e1 - e2, e2 - e3))
+    contraction = ContractionSet(surface, chains)
+    assert contraction.negativity == tuple(map(surface.negativity_check, chains))
+    assert [r.gram for r in contraction.negativity] == [((-4,),), ((-2, 1), (1, -2))]
+    cfg = build_en_configuration(8)
+    (result,) = ContractionSet(cfg.surface, (cfg.chain_classes,)).negativity
+    assert result == cfg.surface.negativity_check(cfg.chain_classes)
 
 
 def test_contraction_set_rejects_overlapping_chains():

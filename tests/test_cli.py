@@ -4,8 +4,9 @@ Core claims:
     - exit codes: 0 on clean reports, 2 on invalid input, usage text on stderr
     - an exception other than ValueError, from a handler or an encoder, exits
       3 with an `internal error:` line and its traceback on stderr and
-      nothing on stdout; a float or a non-str key in a JSON report is such a
-      fault, and its TypeError names the value
+      nothing on stdout; a float in a text or JSON report, or a non-str key in
+      a JSON report, is such a fault, and its TypeError names the value; so
+      is a K^2 accounting check that fails while smoothing a class-T chain
     - an invalid choice is worded the same on every supported Python
     - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
     - `hj` refuses --chain together with --m or --q instead of dropping them
@@ -15,6 +16,8 @@ Core claims:
     - the JSON report carries the fixed schema, round-trips byte-identically,
       and contains no floats; rationals appear as num/den pairs
     - text and JSON modes report the same values
+    - `en-report` builds its chain's Gram matrix once and recognizes the chain
+      and its reversal once each; `class-t recognize` does the same
 """
 
 import io
@@ -22,14 +25,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import horikawa
-from horikawa import cli
+from horikawa import blowdown, cli
 from horikawa.classt import ResolutionChain, recognize_class_t
 from horikawa.cli import run
+from horikawa.lattice import BlownHirzebruch
 
 
 def invoke(*argv):
@@ -278,6 +283,24 @@ def test_internal_fault_exits_three(monkeypatch, stage, exc, argv):
     assert trace[0] == "Traceback (most recent call last):"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["blowdown", "--chi", "8", "--k2", "0", "--euler", "96", "--chain", "8,2,2,2,2"],
+     ["en-report", "--n", "8"]],
+    ids=["blowdown", "en-report"],
+)
+@pytest.mark.parametrize(
+    "correction, message",
+    [(Fraction(1, 3), "K^2 correction sums to non-integer"), (Fraction(0), "accounting error")],
+    ids=["non-integer", "off-noether"],
+)
+def test_smoothing_accounting_fault_exits_three(monkeypatch, argv, correction, message):
+    monkeypatch.setattr(blowdown, "_k2_from_discrepancies", lambda chain, disc: correction)
+    code, out, err = invoke(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: RuntimeError: {message}")
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_encoder_fault_writes_no_partial_report(monkeypatch, fmt):
     monkeypatch.setattr(cli, "invariants_dict", lambda inv: {"p_g": object()})
@@ -287,13 +310,42 @@ def test_encoder_fault_writes_no_partial_report(monkeypatch, fmt):
 
 
 @pytest.mark.parametrize(
-    "invariants, named", [({"p_g": 0.5}, "0.5"), ({4: 1}, "key 4")], ids=["float", "int-key"]
+    "invariants, named, fmt",
+    [({"p_g": 0.5}, "0.5", ["--json"]), ({"p_g": 0.5}, "0.5", []), ({4: 1}, "key 4", ["--json"])],
+    ids=["float", "float-text", "int-key"],
 )
-def test_json_writer_refuses_float_and_non_str_key(monkeypatch, invariants, named):
+def test_json_writer_refuses_float_and_non_str_key(monkeypatch, invariants, named, fmt):
     monkeypatch.setattr(cli, "invariants_dict", lambda inv: invariants)
-    code, out, err = invoke("horikawa", "--n", "5", "--json")
+    code, out, err = invoke("horikawa", "--n", "5", *fmt)
     assert (code, out) == (3, "")
     assert err.splitlines()[0] == f"internal error: TypeError: cannot serialize {named}"
+
+
+def _count_calls(monkeypatch, owners, name, counts):
+    original = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize(
+    "argv, grams, recognitions",
+    [(["en-report", "--n", "12", "--json"], 1, 2),
+     (["class-t", "recognize", "--chain", "9,2,2,2,2,2"], 0, 2)],
+    ids=["en-report", "class-t-recognize"],
+)
+def test_each_chain_fact_is_derived_once(monkeypatch, argv, grams, recognitions):
+    counts = {"gram": 0, "recognize_class_t": 0}
+    _count_calls(monkeypatch, [BlownHirzebruch], "gram", counts)
+    holders = [m for n, m in sorted(sys.modules.items()) if n.startswith("horikawa.")]
+    _count_calls(monkeypatch, [horikawa.classt] + holders, "recognize_class_t", counts)
+    assert invoke(*argv)[0] == 0
+    assert counts == {"gram": grams, "recognize_class_t": recognitions}
 
 
 def test_handler_value_error_stays_invalid_input(monkeypatch):
