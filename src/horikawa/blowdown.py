@@ -70,8 +70,10 @@ class ContractionSet(Record):
     Construction verifies the plumbing shape (consecutive classes meet once,
     all other pairs are orthogonal, self-intersections are -b_i <= -2) and
     classifies each chain; chains outside class T are rejected.  The shape is
-    read off each chain's `surface.negativity_check`, kept in `negativity`;
-    only the disjointness of different chains is paired class by class.
+    read off each chain's Gram matrix from `surface.gram`; once it holds, the
+    leading minors are (-1)^k K(b_1..b_k), so the definiteness verdict kept in
+    `negativity` comes from the chain's continuants.  Only the disjointness
+    of different chains is paired class by class.
     """
 
     __slots__ = ("surface", "chains", "classifications", "negativity")
@@ -100,8 +102,9 @@ class ContractionSet(Record):
         for chain in self.chains:
             if not chain:
                 raise ValueError("empty chain in contraction set")
-            negativity.append(self.surface.negativity_check(chain))
-            gram = negativity[-1].gram
+            if len({c.coeffs for c in chain}) != len(chain):
+                raise ValueError("classes must be pairwise distinct")
+            gram = self.surface.gram(chain)
             b = [-row[i] for i, row in enumerate(gram)]
             for bi in b:
                 if bi < 2:
@@ -114,6 +117,7 @@ class ContractionSet(Record):
                         raise ValueError(
                             f"chain positions {i} and {j} pair to {got}, expected {expected}"
                         )
+            negativity.append(NegativityResult(gram, all(k > 0 for k in _continuants(b)), False))
             verdict = recognize_class_t(ResolutionChain(tuple(b)))
             if verdict.kind == NOT_CLASS_T:
                 raise ValueError(f"chain {b} is not of class T")

@@ -76,44 +76,22 @@ def _leading_minors(gram: Sequence[Sequence[int]]) -> Iterator[int]:
     elimination steps are done, the pivot m[k][k] (0-based) is D_{k+1}, and
     every division is exact.  The pass stops right after yielding a zero
     minor, the first pivot it could not divide by.
-
-    A row whose entry in the pivot column is zero would only be rescaled by
-    D_{k+1}/D_k at that step, so it is left alone and tagged with the step it
-    is valid at.  Rescalings telescope: a row valid at step t is brought up to
-    step k, when a later step reads it as a non-zero factor or as the pivot
-    row, by one exact x * D_k // D_t per entry, since x * D_k / D_t is itself
-    an entry of the step-k Bareiss matrix.  On sparse matrices such as a
-    chain's tridiagonal Gram matrix most rows wait, and the pass does
-    quadratic work instead of cubic.
     """
     m = [list(row) for row in gram]
     size = len(m)
-    minors = [1]  # minors[t] is D_t
-    valid_at = [0] * size  # row i holds the step-valid_at[i] Bareiss row
+    prev = 1
     for k in range(size):
-        prev = minors[k]
         row_k = m[k]
-        then = minors[valid_at[k]]
-        if then != prev:
-            for j in range(k, size):
-                row_k[j] = row_k[j] * prev // then
         pivot = row_k[k]
         yield pivot
         if pivot == 0:
             return
         for i in range(k + 1, size):
             row_i = m[i]
-            if row_i[k] == 0:
-                continue
-            then = minors[valid_at[i]]
-            if then != prev:
-                for j in range(k, size):
-                    row_i[j] = row_i[j] * prev // then
             factor = row_i[k]
             for j in range(k + 1, size):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            valid_at[i] = k + 1
-        minors.append(pivot)
+        prev = pivot
 
 
 class BlownHirzebruch(Record):

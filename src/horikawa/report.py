@@ -12,7 +12,7 @@ construction being re-verified, "derived" for values this tool derives,
 published identity passes; flags never affect it.  Exact rationals are written
 as {"num": ..., "den": ...} in JSON and as num/den in text.  JSON comes from a
 writer for exactly the report's types, byte-identical to `json.dumps(indent=2)`;
-both refuse a float or other foreign scalar, and JSON a non-str key, by TypeError.
+both refuse a float or other foreign scalar, and a non-str key, by TypeError.
 """
 
 from __future__ import annotations
@@ -160,9 +160,7 @@ def _json(value: object, pad: str) -> str:
         inner = pad + "  "
         items = []
         for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"cannot serialize key {key!r}")
-            items.append(_quote(key) + ": " + _json(item, inner))
+            items.append(_quote(_str_key(key)) + ": " + _json(item, inner))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if value is None:
         return "null"
@@ -175,6 +173,13 @@ def _json(value: object, pad: str) -> str:
     raise TypeError(f"cannot serialize {value!r}")
 
 
+def _str_key(key: object) -> str:
+    """A dict key as both writers accept it: only a `str` is a key."""
+    if type(key) is not str:
+        raise TypeError(f"cannot serialize key {key!r}")
+    return key
+
+
 def write_json(body: dict, out: IO[str]) -> None:
     """Build the whole text first, so an encoding failure writes nothing."""
     out.write(_json(body, "") + "\n")
@@ -185,7 +190,7 @@ def _fmt(value: object) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}={_fmt(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{_str_key(k)}={_fmt(v)}" for k, v in value.items()) + "}"
     if type(value) is Fraction:
         return f"{value.numerator}/{value.denominator}"
     return _json(value, "")

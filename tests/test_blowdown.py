@@ -208,9 +208,10 @@ def test_contraction_set_keeps_each_chains_negativity_check():
     contraction = ContractionSet(surface, chains)
     assert contraction.negativity == tuple(map(surface.negativity_check, chains))
     assert [r.gram for r in contraction.negativity] == [((-4,),), ((-2, 1), (1, -2))]
-    cfg = build_en_configuration(8)
-    (result,) = ContractionSet(cfg.surface, (cfg.chain_classes,)).negativity
-    assert result == cfg.surface.negativity_check(cfg.chain_classes)
+    for n in range(5, 41):
+        cfg = build_en_configuration(n)
+        contraction = ContractionSet(cfg.surface, (cfg.chain_classes,))
+        assert contraction.negativity == (cfg.surface.negativity_check(cfg.chain_classes),)
 
 
 def test_contraction_set_rejects_overlapping_chains():

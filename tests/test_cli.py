@@ -4,9 +4,9 @@ Core claims:
     - exit codes: 0 on clean reports, 2 on invalid input, usage text on stderr
     - an exception other than ValueError, from a handler or an encoder, exits
       3 with an `internal error:` line and its traceback on stderr and
-      nothing on stdout; a float in a text or JSON report, or a non-str key in
-      a JSON report, is such a fault, and its TypeError names the value; so
-      is a K^2 accounting check that fails while smoothing a class-T chain
+      nothing on stdout; a float or a non-str key in a text or JSON report is
+      such a fault, and its TypeError names the value; so is a K^2
+      accounting check that fails while smoothing a class-T chain
     - an invalid choice is worded the same on every supported Python
     - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
     - `hj` refuses --chain together with --m or --q instead of dropping them
@@ -17,7 +17,8 @@ Core claims:
       and contains no floats; rationals appear as num/den pairs
     - text and JSON modes report the same values
     - `en-report` builds its chain's Gram matrix once and recognizes the chain
-      and its reversal once each; `class-t recognize` does the same
+      and its reversal once each; `class-t recognize` does the same; neither
+      runs the generic `negativity_check` on the chain
 """
 
 import io
@@ -311,8 +312,13 @@ def test_encoder_fault_writes_no_partial_report(monkeypatch, fmt):
 
 @pytest.mark.parametrize(
     "invariants, named, fmt",
-    [({"p_g": 0.5}, "0.5", ["--json"]), ({"p_g": 0.5}, "0.5", []), ({4: 1}, "key 4", ["--json"])],
-    ids=["float", "float-text", "int-key"],
+    [
+        ({"p_g": 0.5}, "0.5", ["--json"]),
+        ({"p_g": 0.5}, "0.5", []),
+        ({4: 1}, "key 4", ["--json"]),
+        ({4: 1}, "key 4", []),
+    ],
+    ids=["float", "float-text", "int-key", "int-key-text"],
 )
 def test_json_writer_refuses_float_and_non_str_key(monkeypatch, invariants, named, fmt):
     monkeypatch.setattr(cli, "invariants_dict", lambda inv: invariants)
@@ -340,12 +346,13 @@ def _count_calls(monkeypatch, owners, name, counts):
     ids=["en-report", "class-t-recognize"],
 )
 def test_each_chain_fact_is_derived_once(monkeypatch, argv, grams, recognitions):
-    counts = {"gram": 0, "recognize_class_t": 0}
+    counts = {"gram": 0, "negativity_check": 0, "recognize_class_t": 0}
     _count_calls(monkeypatch, [BlownHirzebruch], "gram", counts)
+    _count_calls(monkeypatch, [BlownHirzebruch], "negativity_check", counts)
     holders = [m for n, m in sorted(sys.modules.items()) if n.startswith("horikawa.")]
     _count_calls(monkeypatch, [horikawa.classt] + holders, "recognize_class_t", counts)
     assert invoke(*argv)[0] == 0
-    assert counts == {"gram": grams, "recognize_class_t": recognitions}
+    assert counts == {"gram": grams, "negativity_check": 0, "recognize_class_t": recognitions}
 
 
 def test_handler_value_error_stays_invalid_input(monkeypatch):

@@ -238,7 +238,8 @@ def sparse_square_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_square_matrices())
-# row 2 waits two steps and then pivots; row 3 waits one step and is then a factor
+# row 2 has a zero factor for two steps and then pivots, row 3 for one step and
+# is then a factor: each zero-factor update must be an exact D_k / D_{k-1} rescale
 @example([[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 5, 1], [0, 1, 1, 4]])
 def test_leading_minors_match_sympy_on_sparse_matrices(rows):
     assert list(_leading_minors(rows)) == sympy_leading_minors(rows)
