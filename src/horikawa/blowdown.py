@@ -72,8 +72,10 @@ class ContractionSet(Record):
     classifies each chain; chains outside class T are rejected.  The shape is
     read off each chain's Gram matrix from `surface.gram`; once it holds, the
     leading minors are (-1)^k K(b_1..b_k), so the definiteness verdict kept in
-    `negativity` comes from the chain's continuants.  Only the disjointness
-    of different chains is paired class by class.
+    `negativity` comes from the chain's continuants.  With every b_i >= 2 they
+    grow strictly (K_k >= K_{k-1} + 1), so the verdict is true for every
+    accepted chain: it witnesses the shape check rather than adding a test.
+    Only the disjointness of different chains is paired class by class.
     """
 
     __slots__ = ("surface", "chains", "classifications", "negativity")

@@ -15,17 +15,23 @@ L = Delta - (pull(C0) + f0) - K.
 
 Reports list every checked identity with its expected and computed value and
 a provenance tag, plus findings that are flagged rather than failed; the
-report's shape and encodings live in `report.py`.
+report's shape and encodings live in `report.py`.  `en-report`,
+`single-contraction` and `w4` share one contract-and-smooth step: two copies
+of the chain, one copy, and the n = 4 chain [4].
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ._record import Record
-from .blowdown import ContractionSet, branch_compatibility, smoothing_invariants
-from .classt import CLASS_T, ResolutionChain, hj_value, recognize_class_t
+from .blowdown import (
+    ContractionSet,
+    SmoothedFiberInvariants,
+    branch_compatibility,
+    smoothing_invariants,
+)
+from .classt import CLASS_T, ChainClassification, ResolutionChain, hj_value, recognize_class_t
 from .covers import (
+    NoetherResult,
     SurfaceInvariants,
     double_cover_invariants,
     h0_hirzebruch,
@@ -86,11 +92,7 @@ def build_en_configuration(n: int) -> EnConfiguration:
     E2 = e[-1]
     f0 = surface.fiber() - e[0] - e[1]
     pull_c0 = surface.c0()
-    u: list[Optional[DivisorClass]] = [None] * (n - 3)
-    u[n - 4] = pull_c0
-    u[n - 5] = f0
-    for j in range(n - 5):
-        u[n - 6 - j] = e[1 + j] - e[2 + j]
+    u = tuple(e[k - 1] - e[k] for k in range(n - 4, 1, -1)) + (f0, pull_c0)
     pull_d = surface.divisor(4, 4 * n)
     exceptional_total = sum(e, start=surface.zero())
     delta = pull_d - 2 * exceptional_total
@@ -103,7 +105,7 @@ def build_en_configuration(n: int) -> EnConfiguration:
         f0=f0,
         E1=E1,
         E2=E2,
-        u=tuple(u),
+        u=u,
         pull_d=pull_d,
         delta=delta,
         K=K,
@@ -129,6 +131,24 @@ def horikawa_direct(n: int) -> SurfaceInvariants:
 
 def _configuration_chain(n: int) -> ResolutionChain:
     return ResolutionChain((n,) + (2,) * (n - 4))
+
+
+def _contract_and_smooth(
+    n: int, classification: ChainClassification, copies: int
+) -> tuple[SurfaceInvariants, SmoothedFiberInvariants, NoetherResult]:
+    """E(n), its smoothing with `copies` copies of the chain contracted, and the Noether check."""
+    elliptic = elliptic_surface_invariants(n)
+    smoothed = smoothing_invariants(elliptic, [classification] * copies)
+    return elliptic, smoothed, noether_check(smoothed.fiber)
+
+
+def _matches_direct_cover(direct: SurfaceInvariants, fiber: SurfaceInvariants) -> Identity:
+    return check(
+        "smoothing_matches_direct_cover",
+        [direct.chi, direct.K2, direct.e],
+        [fiber.chi, fiber.K2, fiber.e],
+        PUBLISHED,
+    )
 
 
 def verify_en_identities(cfg: EnConfiguration) -> EnReport:
@@ -223,13 +243,10 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
             PUBLISHED,
         )
     )
-    contraction_expression = cfg.pull_d - 2 * cfg.E1 - 2 * (n - 4) * cfg.E2
-    for j in range(1, n - 4):
-        contraction_expression = contraction_expression - 2 * (n - 4 - j) * cfg.u[j - 1]
     ids.append(
         check(
             "delta_contraction_expression",
-            list(contraction_expression.coeffs),
+            list((cfg.pull_d - 2 * decomposition).coeffs),
             list(cfg.delta.coeffs),
             PUBLISHED,
         )
@@ -254,7 +271,7 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
             }
         )
 
-    elliptic = elliptic_surface_invariants(n)
+    elliptic, smoothed, fiber_noether = _contract_and_smooth(n, classification, 2)
     ids.append(
         check(
             "elliptic_cover_invariants",
@@ -264,21 +281,12 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
         )
     )
 
-    smoothed = smoothing_invariants(elliptic, [classification, classification])
-    direct = horikawa_direct(n)
     fiber = smoothed.fiber
     ids.append(check("general_fiber_chi", n, fiber.chi, DERIVED))
     ids.append(check("general_fiber_k2", 2 * n - 6, fiber.K2, DERIVED))
     ids.append(check("general_fiber_euler", 10 * n + 6, fiber.e, DERIVED))
-    ids.append(
-        check(
-            "smoothing_matches_direct_cover",
-            [direct.chi, direct.K2, direct.e],
-            [fiber.chi, fiber.K2, fiber.e],
-            PUBLISHED,
-        )
-    )
-    fiber_noether = noether_check(fiber)
+    direct = horikawa_direct(n)
+    ids.append(_matches_direct_cover(direct, fiber))
     ids.append(check("general_fiber_on_noether_line", True, fiber_noether.on_line, DERIVED))
 
     invariants = {
@@ -318,7 +326,9 @@ def w4_example(count: int) -> EnReport:
         raise ValueError("count must be 1 or 2; higher covers are out of scope")
     base = BlownHirzebruch(4, 0)
     branch = base.divisor(4, 16)
-    cover = elliptic_surface_invariants(4)
+    classification = recognize_class_t(_configuration_chain(4))
+    cover, smoothed, noether = _contract_and_smooth(4, classification, count)
+    fiber = smoothed.fiber
     ids: list[Identity] = []
     ids.append(
         check(
@@ -335,10 +345,6 @@ def w4_example(count: int) -> EnReport:
         check("branch_dot_negative_section", 0, base.pairing(branch, base.c0()), PUBLISHED)
     )
 
-    classification = recognize_class_t(ResolutionChain((4,)))
-    smoothed = smoothing_invariants(cover, [classification] * count)
-    fiber = smoothed.fiber
-    noether = noether_check(fiber)
     if count == 1:
         ids.append(check("noether_margin", -1, noether.margin, DERIVED))
         ids.append(check("noether_violated", True, not noether.satisfied, PUBLISHED))
@@ -347,14 +353,7 @@ def w4_example(count: int) -> EnReport:
         ids.append(check("noether_margin", 0, noether.margin, DERIVED))
         ids.append(check("noether_on_line", True, noether.on_line, DERIVED))
         direct = horikawa_direct(4)
-        ids.append(
-            check(
-                "smoothing_matches_direct_cover",
-                [direct.chi, direct.K2, direct.e],
-                [fiber.chi, fiber.K2, fiber.e],
-                PUBLISHED,
-            )
-        )
+        ids.append(_matches_direct_cover(direct, fiber))
         interpretation = "on the Noether line: matches the direct double cover"
     invariants = {
         "branch": list(branch.coeffs),
@@ -389,10 +388,8 @@ def single_contraction_report(n: int) -> EnReport:
     if n < 4:
         raise ValueError("single contraction needs n >= 4")
     classification = recognize_class_t(_configuration_chain(n))
-    elliptic = elliptic_surface_invariants(n)
-    smoothed = smoothing_invariants(elliptic, [classification])
+    elliptic, smoothed, noether = _contract_and_smooth(n, classification, 1)
     fiber = smoothed.fiber
-    noether = noether_check(fiber)
     ids = [
         check("hypothetical_p_g", n - 1, fiber.p_g, DERIVED),
         check("hypothetical_k2", n - 3, fiber.K2, DERIVED),

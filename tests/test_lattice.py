@@ -10,7 +10,8 @@ Core claims:
     - the leading-minor definiteness test agrees with an exact sympy oracle,
       also on sparse matrices where the Bareiss pass defers rows
     - on a chain's tridiagonal Gram matrix the leading minors are signed
-      Hirzebruch-Jung continuants
+      Hirzebruch-Jung continuants, whose magnitudes increase strictly from at
+      least 2 when every entry is >= 2, so such a chain is negative definite
 """
 
 import pytest
@@ -314,6 +315,8 @@ def signed_continuants(chain):
 @given(st.lists(st.integers(2, 12), min_size=1, max_size=60))
 def test_chain_gram_minors_are_signed_continuants(chain):
     assert list(_leading_minors(chain_gram(chain))) == signed_continuants(chain)
+    magnitudes = [abs(minor) for minor in signed_continuants(chain)]
+    assert magnitudes[0] >= 2 and all(a < b for a, b in zip(magnitudes, magnitudes[1:]))
 
 
 def test_long_configuration_chain_is_negative_definite():

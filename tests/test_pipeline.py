@@ -10,6 +10,9 @@ Core claims:
     - the report's blow-down of two chains matches H(n), and the F_4 example
       and the single-contraction obstruction witness report the expected
       margins and matches
+    - at n = 4 the F_4 example is the single contraction of the chain [4]:
+      one copy gives the same cover, contribution, margin and fiber, and two
+      copies give that contribution twice
 """
 
 import pytest
@@ -204,6 +207,15 @@ def test_w4_double_contraction_matches_direct_cover():
 def test_w4_branch_misses_negative_section():
     report = w4_example(1)
     assert report.identity("branch_dot_negative_section").computed == 0
+
+
+def test_w4_is_the_n4_single_contraction():
+    one, single = w4_example(1).invariants, single_contraction_report(4).invariants
+    for key in ("elliptic_cover", "per_chain", "noether_margin"):
+        assert one[key] == single[key]
+    assert one["general_fiber"] == single["hypothetical_fiber"]
+    (entry,) = one["per_chain"]
+    assert w4_example(2).invariants["per_chain"] == [entry, entry]
 
 
 def test_w4_rejects_other_counts():
