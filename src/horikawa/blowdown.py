@@ -40,7 +40,8 @@ def discrepancies(chain: ResolutionChain) -> tuple[Fraction, ...]:
         d_i = 1 - (K(b_1..b_{i-1}) + K(b_{i+1}..b_r)) / m,
 
     read off one forward and one backward continuant pass.  Valid chains
-    give 0 <= d_i < 1.
+    give 0 <= d_i < 1, checked on the integer numerators before any
+    Fraction is made.
     """
     b = chain.b
     r = len(b)
@@ -49,8 +50,10 @@ def discrepancies(chain: ResolutionChain) -> tuple[Fraction, ...]:
     m = head[r]
     if m == 0:
         raise RuntimeError(f"singular chain matrix for {b}")
-    out = tuple(Fraction(m - head[i] - tail[r - 1 - i], m) for i in range(r))
-    if not all(0 <= d < 1 for d in out):
+    numerators = [m - head[i] - tail[r - 1 - i] for i in range(r)]
+    in_range = all(0 <= x < m for x in numerators)
+    out = tuple(Fraction(x, m) for x in numerators)
+    if not in_range:
         raise RuntimeError(f"discrepancies {out} out of [0,1) for {b}")
     return out
 
@@ -61,7 +64,8 @@ def k2_correction(chain: ResolutionChain) -> Fraction:
 
 
 def _k2_from_discrepancies(chain: ResolutionChain, disc: Sequence[Fraction]) -> Fraction:
-    return sum((d * (bi - 2) for d, bi in zip(disc, chain.b)), start=Fraction(0))
+    """sum_i d_i*(b_i - 2) over the entries with b_i != 2, the only nonzero terms."""
+    return sum((d * (bi - 2) for d, bi in zip(disc, chain.b) if bi != 2), start=Fraction(0))
 
 
 class ContractionSet(Record):

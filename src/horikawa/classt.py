@@ -176,12 +176,15 @@ def hj_value(chain: ResolutionChain) -> CyclicQuotient:
     return CyclicQuotient(k[-1], k[-2])
 
 
+def _end_moves(b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both end moves applied to a chain's entries, in (prepend, append) order."""
+    return (2,) + b[:-1] + (b[-1] + 1,), (b[0] + 1,) + b[1:] + (2,)
+
+
 def expand_t_chain(chain: ResolutionChain) -> tuple[ResolutionChain, ResolutionChain]:
     """Both end moves applied to a chain, in (prepend, append) order."""
-    b = chain.b
-    left = ResolutionChain((2,) + b[:-1] + (b[-1] + 1,))
-    right = ResolutionChain((b[0] + 1,) + b[1:] + (2,))
-    return left, right
+    left, right = _end_moves(chain.b)
+    return ResolutionChain(left), ResolutionChain(right)
 
 
 @lru_cache(maxsize=1024)
@@ -263,25 +266,26 @@ def _seeds(max_length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def generate_class_t(max_length: int) -> list[ResolutionChain]:
+def generate_class_t(max_length: int) -> list[tuple[int, ...]]:
     """All non-RDP class-T chains of length <= max_length, each exactly once.
 
-    Breadth-first expansion of each seed in turn.  No chain is reached twice,
-    so nothing is deduplicated: the seed families are disjoint (the seed
-    length is the invariant d), no move yields a seed (a prepend starts the
-    chain with 2, an append ends it with 2), and every non-seed chain has
-    exactly one inverse move (b[0] == 2 < b[-1] and b[-1] == 2 < b[0] exclude
-    each other), hence exactly one parent.  So there are 2**(L+1) - 2 - L
-    chains for max_length L.
+    Each chain is the tuple of its entries b_i.  Breadth-first expansion of
+    each seed in turn, one level (one chain length) at a time.  No chain is
+    reached twice, so nothing is deduplicated: the seed families are
+    disjoint (the seed length is the invariant d), no move yields a seed (a
+    prepend starts the chain with 2, an append ends it with 2), and every
+    non-seed chain has exactly one inverse move (b[0] == 2 < b[-1] and
+    b[-1] == 2 < b[0] exclude each other), hence exactly one parent.  So
+    there are 2**(L+1) - 2 - L chains for max_length L.  The end moves keep
+    every entry an integer >= 2, so the chains are not checked again.
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    out: list[ResolutionChain] = []
+    out: list[tuple[int, ...]] = []
     for seed in _seeds(max_length):
-        queue = deque([ResolutionChain(seed)])
-        while queue:
-            chain = queue.popleft()
-            out.append(chain)
-            if len(chain) < max_length:
-                queue.extend(expand_t_chain(chain))
+        level = [seed]
+        for _ in range(len(seed), max_length):
+            out += level
+            level = [child for b in level for child in _end_moves(b)]
+        out += level
     return out

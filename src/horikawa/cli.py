@@ -135,7 +135,7 @@ def _cmd_class_t_generate(args: argparse.Namespace) -> tuple[str, EnReport]:
         identities=(),
         invariants={
             "count": len(chains),
-            "chains": [c.b for c in chains],
+            "chains": chains,
         },
     )
     return "class-t generate", report

@@ -9,13 +9,21 @@ so no overflow handling is needed.
 from __future__ import annotations
 
 import operator
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
-from ._record import Record
+from ._record import Record, _restore
 
 
 class DivisorClass(Record):
-    """Integer coefficient vector of a divisor class on a fixed basis."""
+    """Integer coefficient vector of a divisor class on a fixed basis.
+
+    The constructor checks that every coefficient is an integer, where a
+    caller builds a class.  Sums, differences, negatives and integer
+    multiples of checked classes, and the basis classes a surface hands out,
+    are integers by construction, so they are built through `_restore`
+    without checking them again.
+    """
 
     __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
@@ -41,21 +49,21 @@ class DivisorClass(Record):
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._require_same_rank(other)
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _restore(DivisorClass, (tuple(map(operator.add, self.coeffs, other.coeffs)),))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._require_same_rank(other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _restore(DivisorClass, (tuple(map(operator.sub, self.coeffs, other.coeffs)),))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return _restore(DivisorClass, (tuple(map(operator.neg, self.coeffs)),))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):
             return NotImplemented
-        return DivisorClass(tuple(scalar * a for a in self.coeffs))
+        return _restore(DivisorClass, (tuple(scalar * a for a in self.coeffs),))
 
     __rmul__ = __mul__
 
@@ -144,10 +152,10 @@ class BlownHirzebruch(Record):
             raise ValueError(f"exceptional index {i} out of range 1..{self.blowup_count}")
         coeffs = [0] * self.rank
         coeffs[1 + i] = 1
-        return DivisorClass(tuple(coeffs))
+        return _restore(DivisorClass, (tuple(coeffs),))
 
     def zero(self) -> DivisorClass:
-        return DivisorClass((0,) * self.rank)
+        return _restore(DivisorClass, ((0,) * self.rank,))
 
     def pairing(self, a: DivisorClass, b: DivisorClass) -> int:
         """Intersection number a.b under the Gram matrix; symmetric and bilinear."""
@@ -165,35 +173,43 @@ class BlownHirzebruch(Record):
     def gram(self, classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
         """Mutual pairings of a family, the same numbers as `pairing` gives.
 
-        Each unordered pair is computed once and mirrored.  The exceptional
-        block of the basis Gram matrix is -identity, so a pair sums only over
-        the exceptional indices where both classes are nonzero; every named
-        class on Z_n has at most three nonzero exceptional coefficients.
+        The basis Gram matrix is a (C0, f) block plus -identity on the
+        exceptional classes, so an entry can be nonzero only where both
+        classes have a nonzero (C0, f) head or both are nonzero at some
+        exceptional index.  The head term is filled for the first kind of
+        pair; the tail term is subtracted from an index that maps each
+        exceptional index to the (position, coefficient) pairs of the
+        classes nonzero there, mirrored off the diagonal.
         """
         n = self.hirzebruch_index
         heads = []
-        tails = []
-        for c in classes:
-            if len(c.coeffs) != self.rank:
+        index: dict[int, list[tuple[int, int]]] = {}
+        for pos, c in enumerate(classes):
+            coeffs = c.coeffs
+            if len(coeffs) != self.rank:
                 raise ValueError(
-                    f"class of length {len(c.coeffs)} on a rank {self.rank} lattice"
+                    f"class of length {len(coeffs)} on a rank {self.rank} lattice"
                 )
-            heads.append(c.coeffs[:2])
-            tails.append({i: x for i, x in enumerate(c.coeffs[2:], 2) if x})
-        size = len(heads)
+            if coeffs[0] or coeffs[1]:
+                heads.append((pos, coeffs[0], coeffs[1]))
+            for idx in compress(count(2), coeffs[2:]):
+                index.setdefault(idx, []).append((pos, coeffs[idx]))
+        size = len(classes)
         rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            a0, a1 = heads[i]
-            tail_a = tails[i]
+        for k, (i, a0, a1) in enumerate(heads):
             row_i = rows[i]
-            for j in range(i, size):
-                b0, b1 = heads[j]
-                tail_b = tails[j]
+            for j, b0, b1 in heads[k:]:
                 value = -n * a0 * b0 + a0 * b1 + a1 * b0
-                for idx in tail_a.keys() & tail_b.keys():
-                    value -= tail_a[idx] * tail_b[idx]
                 row_i[j] = value
                 rows[j][i] = value
+        for entries in index.values():
+            for k, (i, x) in enumerate(entries):
+                row_i = rows[i]
+                row_i[i] -= x * x
+                for j, y in entries[k + 1:]:
+                    value = x * y
+                    row_i[j] -= value
+                    rows[j][i] -= value
         return tuple(map(tuple, rows))
 
     def canonical_class(self) -> DivisorClass:
@@ -218,7 +234,7 @@ class BlownHirzebruch(Record):
                 f"class of length {len(d.coeffs)} cannot come from the "
                 f"rank {self.rank - 1} predecessor"
             )
-        return DivisorClass(d.coeffs + (0,))
+        return _restore(DivisorClass, (d.coeffs + (0,),))
 
     def adjunction_degree(self, c: DivisorClass) -> int:
         """C.(C + K), which is 2g - 2 for a reduced irreducible member."""

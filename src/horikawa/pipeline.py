@@ -94,7 +94,7 @@ def build_en_configuration(n: int) -> EnConfiguration:
     pull_c0 = surface.c0()
     u = tuple(e[k - 1] - e[k] for k in range(n - 4, 1, -1)) + (f0, pull_c0)
     pull_d = surface.divisor(4, 4 * n)
-    exceptional_total = sum(e, start=surface.zero())
+    exceptional_total = surface.divisor(0, 0, *[1] * (n - 3))
     delta = pull_d - 2 * exceptional_total
     K = surface.canonical_class()
     L = delta - (pull_c0 + f0) - K

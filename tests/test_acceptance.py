@@ -111,7 +111,7 @@ def test_criterion_5_class_t_calculus():
                 if gcd(m, q) == 1:
                     x = CyclicQuotient(m, q)
                     assert hj_value(hj_expand(x)) == x
-        generated = {c.b for c in generate_class_t(6)}
+        generated = set(generate_class_t(6))
         recognized = set()
         for r in range(1, 7):
             for b in itertools.product(range(2, 10), repeat=r):
@@ -184,8 +184,8 @@ def test_criterion_9_property_suites():
             assert 12 * inv.chi == inv.K2 + inv.e
             assert inv.chi == 1 - inv.q + inv.p_g
 
-        for chain in generate_class_t(7):
-            for d in discrepancies(chain):
+        for b in generate_class_t(7):
+            for d in discrepancies(ResolutionChain(b)):
                 assert isinstance(d, Fraction) and 0 <= d < 1
         for n in range(5, 21):
             for d in discrepancies(ResolutionChain((n,) + (2,) * (n - 4))):

@@ -3,9 +3,11 @@
 Core claims:
     - discrepancy vectors exactly solve the tridiagonal chain system, lie in
       [0, 1), vanish for all-2 chains and are positive once some b_i >= 3,
-      on short random chains and on class-T chains up to 60 moves deep
+      on short random chains and on class-T chains up to 60 moves deep;
+      a numerator outside [0, m) is a fault and raises RuntimeError
     - K^2 corrections: [4] gives 1, the d = 1 family [r+3, 2^(r-1)] gives r,
-      and every class-T chain of length r and seed length d gives r - d + 1
+      and every class-T chain of length r and seed length d gives r - d + 1;
+      on any chain it is the plain sum of d_i*(b_i - 2)
     - smoothing the elliptic family with two configuration chains reproduces
       the direct double cover; outputs always satisfy 12*chi = K^2 + e
     - contraction sets enforce the plumbing shape and disjointness, keep each
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from horikawa import blowdown
 from horikawa.blowdown import (
     ContractionSet,
     branch_compatibility,
@@ -85,11 +88,32 @@ def test_discrepancies_range_and_positivity(chain):
         assert all(x == 0 for x in d)
 
 
+@pytest.mark.parametrize(
+    "fake",
+    [
+        [3, 4],   # numerator 4 - 3 - 3 < 0
+        [0, 4],   # numerator 4 - 0 - 0 == m, so d = 1
+        [-1, 4],  # numerator 4 + 1 + 1 > m
+    ],
+)
+def test_discrepancies_out_of_range_raise(monkeypatch, fake):
+    monkeypatch.setattr(blowdown, "_continuants", lambda b: list(fake))
+    with pytest.raises(RuntimeError, match=r"out of \[0,1\) for \(4,\)"):
+        discrepancies(ResolutionChain((4,)))
+
+
 # -- K^2 correction ---------------------------------------------------------------
 
 def test_correction_pinned_examples():
     assert k2_correction(ResolutionChain((4,))) == 1
     assert k2_correction(ResolutionChain((2, 2, 2, 2))) == 0
+
+
+@given(st.one_of(chains, class_t_chains))
+def test_correction_is_the_plain_discrepancy_sum(chain):
+    d = discrepancies(chain)
+    plain = sum((x * (bi - 2) for x, bi in zip(d, chain.b)), start=Fraction(0))
+    assert k2_correction(chain) == plain
 
 
 @pytest.mark.parametrize("r", range(1, 21))

@@ -140,7 +140,8 @@ def test_expand_t_chain_on_seeds():
 
 
 def test_children_of_class_t_are_class_t_with_same_d():
-    for chain in generate_class_t(6):
+    for b in generate_class_t(6):
+        chain = ResolutionChain(b)
         d = recognize_class_t(chain).tdata.d
         for child in expand_t_chain(chain):
             verdict = recognize_class_t(child)
@@ -180,27 +181,29 @@ def test_not_class_t_examples(b):
 
 
 def test_seed_length_equals_d():
-    for chain in generate_class_t(7):
-        verdict = recognize_class_t(chain)
+    for b in generate_class_t(7):
+        verdict = recognize_class_t(ResolutionChain(b))
         assert len(verdict.seed) == verdict.tdata.d
 
 
 def test_trace_replays_to_input():
-    for chain in generate_class_t(7):
-        verdict = recognize_class_t(chain)
-        assert verdict.replay() == chain
+    for b in generate_class_t(7):
+        verdict = recognize_class_t(ResolutionChain(b))
+        assert verdict.replay().b == b
 
 
 def test_reversed_chain_classification():
     # reversal keeps d and n, and flips a to n - a
-    for chain in generate_class_t(6):
+    for b in generate_class_t(6):
+        chain = ResolutionChain(b)
         data = recognize_class_t(chain).tdata
         mirrored = recognize_class_t(chain.reversed()).tdata
         assert (mirrored.d, mirrored.n, mirrored.a) == (data.d, data.n, data.n - data.a)
 
 
 def test_class_t_parameters_match_quotient():
-    for chain in generate_class_t(6):
+    for b in generate_class_t(6):
+        chain = ResolutionChain(b)
         data = recognize_class_t(chain).tdata
         quotient = hj_value(chain)
         assert data.d * data.n**2 == quotient.m
@@ -233,19 +236,19 @@ def test_recognition_inverts_generation(d, trace):
 
 
 def test_carried_parameters_match_divisor_search():
-    for chain in generate_class_t(12):
-        data = recognize_class_t(chain).tdata
-        assert divisor_search(*quotient_oracle(chain.b)) == [(data.d, data.n, data.a)]
+    for b in generate_class_t(12):
+        data = recognize_class_t(ResolutionChain(b)).tdata
+        assert divisor_search(*quotient_oracle(b)) == [(data.d, data.n, data.a)]
 
 
 # -- generation ----------------------------------------------------------------------
 
 def test_generate_length_one():
-    assert [c.b for c in generate_class_t(1)] == [(4,)]
+    assert generate_class_t(1) == [(4,)]
 
 
 def test_generate_length_two():
-    assert [c.b for c in generate_class_t(2)] == [(4,), (2, 5), (5, 2), (3, 3)]
+    assert generate_class_t(2) == [(4,), (2, 5), (5, 2), (3, 3)]
 
 
 def test_generate_rejects_zero_length():
@@ -254,8 +257,8 @@ def test_generate_rejects_zero_length():
 
 
 def test_generated_chains_are_recognized():
-    for chain in generate_class_t(7):
-        assert recognize_class_t(chain).kind == CLASS_T
+    for b in generate_class_t(7):
+        assert recognize_class_t(ResolutionChain(b)).kind == CLASS_T
 
 
 def test_generate_agrees_with_recognition_small():
@@ -263,7 +266,7 @@ def test_generate_agrees_with_recognition_small():
     # each end move raises the largest entry by at most one and the deepest
     # chain of length L took L-1 moves from the seed [4]
     max_length = 4
-    generated = {c.b for c in generate_class_t(max_length)}
+    generated = set(generate_class_t(max_length))
     recognized = set()
     for r in range(1, max_length + 1):
         for b in itertools.product(range(2, max_length + 4), repeat=r):
@@ -273,13 +276,13 @@ def test_generate_agrees_with_recognition_small():
 
 
 def test_generate_has_no_duplicates():
-    out = [c.b for c in generate_class_t(7)]
+    out = generate_class_t(7)
     assert len(out) == len(set(out))
 
 
 @pytest.mark.parametrize("max_length", range(1, 13))
 def test_generate_count_closed_form(max_length):
-    out = [c.b for c in generate_class_t(max_length)]
+    out = generate_class_t(max_length)
     assert len(out) == len(set(out)) == 2 ** (max_length + 1) - 2 - max_length
 
 

@@ -6,7 +6,10 @@ Core claims:
     - blow-up raises the rank by one and total transforms preserve pairings
     - the basis Gram matrix has determinant (-1)^(k+1) and signature (1, k+1)
     - the Gram matrix of any family, dense or sparse, matches pairing entry
-      by entry
+      by entry, also on the configuration classes of Z_n, which share
+      exceptional indices
+    - sums, differences, negatives and integer multiples have plain int
+      coefficients, while building a class from a non-integer raises
     - the leading-minor definiteness test agrees with an exact sympy oracle,
       also on sparse matrices where the Bareiss pass defers rows
     - on a chain's tridiagonal Gram matrix the leading minors are signed
@@ -75,6 +78,37 @@ def test_pairing_rank_mismatch_raises():
 def test_divisor_rejects_non_integers():
     with pytest.raises(TypeError):
         DivisorClass((1, 0.5))
+    with pytest.raises(TypeError):
+        DivisorClass((1, 2.0))
+
+
+# booleans are ints to `isinstance`, so a caller may build a class from them;
+# arithmetic must still hand back plain ints
+coefficients = st.one_of(st.integers(-9, 9), st.booleans())
+
+
+@st.composite
+def class_pairs(draw):
+    rank = draw(st.integers(1, 8))
+    vectors = st.lists(coefficients, min_size=rank, max_size=rank)
+    return DivisorClass(tuple(draw(vectors))), DivisorClass(tuple(draw(vectors)))
+
+
+@given(class_pairs(), coefficients)
+@example((DivisorClass((True, 2, -3)), DivisorClass((False, True, 0))), True)
+def test_arithmetic_results_have_int_coefficients(pair, k):
+    a, b = pair
+    expected = [
+        [x + y for x, y in zip(a.coeffs, b.coeffs)],
+        [x - y for x, y in zip(a.coeffs, b.coeffs)],
+        [-x for x in a.coeffs],
+        [k * x for x in a.coeffs],
+        [k * x for x in a.coeffs],
+    ]
+    for result, want in zip((a + b, a - b, -a, k * a, a * k), expected):
+        assert type(result) is DivisorClass
+        assert list(result.coeffs) == want
+        assert all(type(x) is int for x in result.coeffs)
 
 
 # -- canonical class and adjunction -------------------------------------------
@@ -172,13 +206,36 @@ def surface_with_family(draw):
     return surface, family
 
 
+_repeated = BlownHirzebruch(3, 4).divisor(1, -2, 0, 3, 0, -5)
+_dense_tail = BlownHirzebruch(5, 6).divisor(0, 0, 1, -2, 3, -4, 5, -6)
+
+
 @given(surface_with_family())
+# one class three times: the diagonal and its mirror images of a shared tail
+@example((BlownHirzebruch(3, 4), [_repeated, _repeated, BlownHirzebruch(3, 4).exceptional(2), _repeated]))
+# a zero (C0, f) head with a dense tail, next to head-only and sparse classes
+@example((BlownHirzebruch(5, 6), [
+    _dense_tail,
+    BlownHirzebruch(5, 6).c0(),
+    BlownHirzebruch(5, 6).divisor(0, 0, 2, 0, 0, 0, 0, 1),
+    _dense_tail + BlownHirzebruch(5, 6).fiber(),
+]))
 def test_gram_matches_pairing(data):
     surface, family = data
     gram = surface.gram(family)
     assert len(gram) == len(family)
     for row, a in zip(gram, family):
         assert row == tuple(surface.pairing(a, b) for b in family)
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_gram_matches_pairing_on_configuration_classes(n):
+    # the chain's classes share exceptional indices with each other and with
+    # the dense tails of delta, K and L
+    cfg = build_en_configuration(n)
+    family = cfg.chain_classes + (cfg.delta, cfg.K, cfg.L, cfg.E1, cfg.E2)
+    pair = cfg.surface.pairing
+    assert cfg.surface.gram(family) == tuple(tuple(pair(a, b) for b in family) for a in family)
 
 
 def test_gram_rank_mismatch_raises():
