@@ -108,21 +108,25 @@ class ContractionSet(Record):
         for chain in self.chains:
             if not chain:
                 raise ValueError("empty chain in contraction set")
-            if len({c.coeffs for c in chain}) != len(chain):
+            if len({(c.rank, c.terms) for c in chain}) != len(chain):
                 raise ValueError("classes must be pairwise distinct")
             gram = self.surface.gram(chain)
             b = [-row[i] for i, row in enumerate(gram)]
             for bi in b:
                 if bi < 2:
                     raise ValueError(f"chain class with self-intersection {-bi}; need <= -2")
+            size = len(gram)
             for i, row in enumerate(gram):
-                for j in range(i + 1, len(row)):
-                    expected = 1 if j == i + 1 else 0
-                    got = row[j]
-                    if got != expected:
-                        raise ValueError(
-                            f"chain positions {i} and {j} pair to {got}, expected {expected}"
-                        )
+                # Right of the diagonal a row reads 1, 0, ..., 0; `any` scans
+                # the zeros without a Python-level loop over the entries.
+                if (i + 1 < size and row[i + 1] != 1) or any(row[i + 2:]):
+                    for j in range(i + 1, size):
+                        expected = 1 if j == i + 1 else 0
+                        if row[j] != expected:
+                            raise ValueError(
+                                f"chain positions {i} and {j} pair to {row[j]}, "
+                                f"expected {expected}"
+                            )
             negativity.append(NegativityResult(gram, all(k > 0 for k in _continuants(b)), False))
             verdict = recognize_class_t(ResolutionChain(tuple(b)))
             if verdict.kind == NOT_CLASS_T:

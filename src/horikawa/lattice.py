@@ -2,70 +2,122 @@
 
 Divisor classes are integer vectors in the ordered basis (C0, f, e1, ..., ek),
 where C0 is the negative section, f the fiber, and e_i the exceptional classes
-of k point blow-ups.  Every operation is exact; Python integers are unbounded,
-so no overflow handling is needed.
+of k point blow-ups.  A class keeps only its nonzero coefficients, so its
+arithmetic and pairings cost what its nonzero terms cost, not the rank.  Every
+operation is exact; Python integers are unbounded, so no overflow handling is
+needed.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import compress, count
+from bisect import bisect_left
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from ._record import Record, _restore
+from ._record import Record
+
+_nonzero = operator.itemgetter(1)
+
+
+def _checked_terms(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (index, coefficient) pairs of a dense vector, as plain ints.
+
+    Raises TypeError on a coefficient that is not an integer; a bool is
+    stored as the int it equals.
+    """
+    terms = []
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, int):
+            raise TypeError(f"divisor coefficients must be integers, got {c!r}")
+        if c:
+            terms.append((i, int(c)))
+    return tuple(terms)
 
 
 class DivisorClass(Record):
-    """Integer coefficient vector of a divisor class on a fixed basis.
+    """A divisor class on a fixed basis, kept as its nonzero coefficients.
 
-    The constructor checks that every coefficient is an integer, where a
-    caller builds a class.  Sums, differences, negatives and integer
-    multiples of checked classes, and the basis classes a surface hands out,
-    are integers by construction, so they are built through `_restore`
-    without checking them again.
+    `rank` is the length of the basis and `terms` the (index, coefficient)
+    pairs whose coefficient is nonzero, in index order, so equal classes have
+    equal fields; `coeffs` is the dense coefficient tuple.  Sums,
+    differences, negatives and integer multiples cost O(nonzero terms).
+
+    The constructor takes the dense coefficients and checks that each is an
+    integer, where a caller builds a class.  Results of arithmetic on checked
+    classes, and the basis classes a surface hands out, are integers by
+    construction, so they are built through `_class` without checking them
+    again.
     """
 
-    __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
+    __slots__ = ("rank", "terms")
+    rank: int
+    terms: tuple[tuple[int, int], ...]
 
     def __init__(self, coeffs: Iterable[int]) -> None:
         coeffs = tuple(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"divisor coefficients must be integers, got {c!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(len(coeffs), _checked_terms(coeffs))
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense coefficient tuple, zeros included."""
+        dense = [0] * self.rank
+        for i, c in self.terms:
+            dense[i] = c
+        return tuple(dense)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.rank
 
-    def _require_same_rank(self, other: "DivisorClass") -> None:
-        if len(self.coeffs) != len(other.coeffs):
+    def _plus(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        """self + sign * other, accumulated over the terms of `other`."""
+        if self.rank != other.rank:
             raise ValueError(
                 f"divisor classes live on different lattices "
-                f"(lengths {len(self.coeffs)} and {len(other.coeffs)})"
+                f"(lengths {self.rank} and {other.rank})"
             )
+        acc = dict(self.terms)
+        get = acc.get
+        for i, x in other.terms:
+            acc[i] = get(i, 0) + sign * x
+        return _accumulated(self.rank, acc)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        self._require_same_rank(other)
-        return _restore(DivisorClass, (tuple(map(operator.add, self.coeffs, other.coeffs)),))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        self._require_same_rank(other)
-        return _restore(DivisorClass, (tuple(map(operator.sub, self.coeffs, other.coeffs)),))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return _restore(DivisorClass, (tuple(map(operator.neg, self.coeffs)),))
+        return _class(self.rank, tuple((i, -x) for i, x in self.terms))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):
             return NotImplemented
-        return _restore(DivisorClass, (tuple(scalar * a for a in self.coeffs),))
+        terms = tuple((i, scalar * x) for i, x in self.terms) if scalar else ()
+        return _class(self.rank, terms)
 
     __rmul__ = __mul__
+
+
+_set_rank, _set_terms = DivisorClass._setters
+
+
+def _class(rank: int, terms: tuple[tuple[int, int], ...]) -> DivisorClass:
+    """A class from its fields, unchecked: the terms are nonzero ints in index order."""
+    c = object.__new__(DivisorClass)
+    _set_rank(c, rank)
+    _set_terms(c, terms)
+    return c
+
+
+def _accumulated(rank: int, acc: dict[int, int]) -> DivisorClass:
+    """The class on `rank` with coefficients `acc`, zero entries dropped."""
+    return _class(rank, tuple(filter(_nonzero, sorted(acc.items()))))
 
 
 class NegativityResult(Record):
@@ -137,8 +189,7 @@ class BlownHirzebruch(Record):
                 f"{len(exceptional)} exceptional coefficients on a surface with "
                 f"{self.blowup_count} blow-ups"
             )
-        tail = exceptional + (0,) * (self.blowup_count - len(exceptional))
-        return DivisorClass((c0, f) + tail)
+        return _class(self.rank, _checked_terms((c0, f) + exceptional))
 
     def c0(self) -> DivisorClass:
         return self.divisor(1, 0)
@@ -150,24 +201,68 @@ class BlownHirzebruch(Record):
         """The i-th exceptional class e_i, 1-based."""
         if not 1 <= i <= self.blowup_count:
             raise ValueError(f"exceptional index {i} out of range 1..{self.blowup_count}")
-        coeffs = [0] * self.rank
-        coeffs[1 + i] = 1
-        return _restore(DivisorClass, (tuple(coeffs),))
+        return _class(self.rank, ((1 + i, 1),))
 
     def zero(self) -> DivisorClass:
-        return _restore(DivisorClass, ((0,) * self.rank,))
+        return _class(self.rank, ())
+
+    def _require_rank(self, c: DivisorClass) -> None:
+        if c.rank != self.rank:
+            raise ValueError(f"class of length {c.rank} on a rank {self.rank} lattice")
+
+    def linear_combination(self, weighted: Iterable[tuple[int, DivisorClass]]) -> DivisorClass:
+        """The sum of k * c over the (k, c) pairs, in one pass over their nonzero terms."""
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, c in weighted:
+            if not isinstance(k, int):
+                raise TypeError(f"weights must be integers, got {k!r}")
+            self._require_rank(c)
+            for i, x in c.terms:
+                acc[i] = get(i, 0) + k * x
+        return _accumulated(self.rank, acc)
 
     def pairing(self, a: DivisorClass, b: DivisorClass) -> int:
-        """Intersection number a.b under the Gram matrix; symmetric and bilinear."""
-        if len(a.coeffs) != self.rank or len(b.coeffs) != self.rank:
-            raise ValueError(
-                f"classes of length {len(a.coeffs)} and {len(b.coeffs)} "
-                f"on a rank {self.rank} lattice"
-            )
+        """Intersection number a.b under the Gram matrix; symmetric and bilinear.
+
+        Walks the class with fewer terms, where x times a basis class pairs
+        with the other class y to x*(y_f - n*y_C0) for C0, x*y_C0 for f and
+        -x*y_i for e_i.  y_i is looked up by bisection when the other class
+        is more than four times longer, else in a table built from it.
+        """
+        rank = self.blowup_count + 2
+        if a.rank != rank or b.rank != rank:
+            raise ValueError(f"classes of length {a.rank} and {b.rank} on a rank {rank} lattice")
+        short, long = a.terms, b.terms
+        if len(short) > len(long):
+            short, long = long, short
         n = self.hirzebruch_index
-        value = -n * a.coeffs[0] * b.coeffs[0]
-        value += a.coeffs[0] * b.coeffs[1] + a.coeffs[1] * b.coeffs[0]
-        value -= sum(map(operator.mul, a.coeffs[2:], b.coeffs[2:]))
+        value = 0
+        if len(long) > 4 * len(short):
+            end = len(long)
+            pos = 0
+            for i, x in short:
+                if i < 2:
+                    # the terms are in index order, so (C0, f) lead
+                    head = dict(long[:2])
+                    y0 = head.get(0, 0)
+                    value += x * y0 if i else x * (head.get(1, 0) - n * y0)
+                    continue
+                pos = bisect_left(long, (i,), pos)
+                if pos == end:
+                    break
+                j, y = long[pos]
+                if j == i:
+                    value -= x * y
+        else:
+            get = dict(long).get
+            for i, x in short:
+                if i >= 2:
+                    value -= x * get(i, 0)
+                elif i:
+                    value += x * get(0, 0)
+                else:
+                    value += x * (get(1, 0) - n * get(0, 0))
         return value
 
     def gram(self, classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
@@ -185,15 +280,17 @@ class BlownHirzebruch(Record):
         heads = []
         index: dict[int, list[tuple[int, int]]] = {}
         for pos, c in enumerate(classes):
-            coeffs = c.coeffs
-            if len(coeffs) != self.rank:
-                raise ValueError(
-                    f"class of length {len(coeffs)} on a rank {self.rank} lattice"
-                )
-            if coeffs[0] or coeffs[1]:
-                heads.append((pos, coeffs[0], coeffs[1]))
-            for idx in compress(count(2), coeffs[2:]):
-                index.setdefault(idx, []).append((pos, coeffs[idx]))
+            self._require_rank(c)
+            a0 = a1 = 0
+            for idx, x in c.terms:
+                if idx >= 2:
+                    index.setdefault(idx, []).append((pos, x))
+                elif idx:
+                    a1 = x
+                else:
+                    a0 = x
+            if a0 or a1:
+                heads.append((pos, a0, a1))
         size = len(classes)
         rows = [[0] * size for _ in range(size)]
         for k, (i, a0, a1) in enumerate(heads):
@@ -215,7 +312,8 @@ class BlownHirzebruch(Record):
     def canonical_class(self) -> DivisorClass:
         """K = -2*C0 - (n+2)*f + e1 + ... + ek."""
         n = self.hirzebruch_index
-        return self.divisor(-2, -(n + 2), *([1] * self.blowup_count))
+        tail = tuple(zip(range(2, self.rank), repeat(1)))
+        return _class(self.rank, ((0, -2), (1, -(n + 2))) + tail)
 
     def blow_up(self) -> "BlownHirzebruch":
         """The same surface blown up at one more point."""
@@ -229,12 +327,12 @@ class BlownHirzebruch(Record):
         """
         if self.blowup_count == 0:
             raise ValueError("surface has no blow-up to pull back along")
-        if len(d.coeffs) != self.rank - 1:
+        if d.rank != self.rank - 1:
             raise ValueError(
-                f"class of length {len(d.coeffs)} cannot come from the "
+                f"class of length {d.rank} cannot come from the "
                 f"rank {self.rank - 1} predecessor"
             )
-        return _restore(DivisorClass, (d.coeffs + (0,),))
+        return _class(self.rank, d.terms)
 
     def adjunction_degree(self, c: DivisorClass) -> int:
         """C.(C + K), which is 2g - 2 for a reduced irreducible member."""
@@ -250,7 +348,7 @@ class BlownHirzebruch(Record):
         as such.
         """
         family = tuple(classes)
-        if len({c.coeffs for c in family}) != len(family):
+        if len(set(family)) != len(family):
             raise ValueError("classes must be pairwise distinct")
         if not family:
             return NegativityResult((), True, True)

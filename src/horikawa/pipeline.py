@@ -232,9 +232,10 @@ def verify_en_identities(cfg: EnConfiguration) -> EnReport:
     )
 
     base_k = surface.divisor(-2, -(n + 2))
-    decomposition = cfg.E1 + (n - 4) * cfg.E2
-    for j in range(1, n - 4):
-        decomposition = decomposition + (n - 4 - j) * cfg.u[j - 1]
+    # E1 + (n-4) E2 + sum_{j=1}^{n-5} (n-4-j) U_j
+    decomposition = surface.linear_combination(
+        [(1, cfg.E1), (n - 4, cfg.E2)] + list(zip(range(n - 5, 0, -1), cfg.u))
+    )
     ids.append(
         check(
             "canonical_chain_decomposition",

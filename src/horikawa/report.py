@@ -138,19 +138,47 @@ def payload(command: str, report: EnReport) -> dict:
     }
 
 
+_CHUNK = 10**500
+_INT_ONLY = {int}
+
+
+def _decimal(value: int) -> str:
+    """An int in decimal, as `int.__repr__` writes it, at any length.
+
+    CPython refuses to convert an int of more than
+    `sys.get_int_max_str_digits()` digits, a guard on parsing untrusted
+    text.  An exact answer may be that long, so past the limit it is written
+    in chunks of 500 digits, below any limit the interpreter accepts;
+    nothing global is changed.
+    """
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        pass
+    rest = abs(value)
+    chunks = []
+    while rest:
+        rest, chunk = divmod(rest, _CHUNK)
+        chunks.append(int.__repr__(chunk).zfill(500))
+    return ("-" if value < 0 else "") + "".join(reversed(chunks)).lstrip("0")
+
+
 def _json(value: object, pad: str) -> str:
     """One value as `json.dumps(indent=2)` writes it at indentation `pad`."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
-        return int.__repr__(value)
+        return _decimal(value)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = pad + "  "
-        if all(type(x) is int for x in value):
-            items = map(int.__repr__, value)
+        if set(map(type, value)) == _INT_ONLY:
+            try:
+                items = list(map(int.__repr__, value))
+            except ValueError:
+                items = list(map(_decimal, value))
         else:
             items = [_json(x, inner) for x in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
@@ -169,7 +197,9 @@ def _json(value: object, pad: str) -> str:
     if value is False:
         return "false"
     if kind is Fraction:
-        return _json({"num": value.numerator, "den": value.denominator}, pad)
+        inner = pad + "  "
+        num, den = _decimal(value.numerator), _decimal(value.denominator)
+        return f'{{\n{inner}"num": {num},\n{inner}"den": {den}\n{pad}}}'
     raise TypeError(f"cannot serialize {value!r}")
 
 
@@ -192,7 +222,7 @@ def _fmt(value: object) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{_str_key(k)}={_fmt(v)}" for k, v in value.items()) + "}"
     if type(value) is Fraction:
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     return _json(value, "")
 
 

@@ -10,6 +10,8 @@ Core claims:
     - an invalid choice is worded the same on every supported Python
     - `blowdown` refuses a --p-g below --chi - 1 by naming both flags
     - `hj` refuses --chain together with --m or --q instead of dropping them
+    - an answer longer than CPython's int-to-str digit limit is written in
+      full, in text and JSON, without changing the limit for the caller
     - `class-t recognize` answers the configuration chain [n, 2, ..., 2] for
       n = 1313 and 5000 in a fresh process at the default recursion limit
     - --help writes its text to run's `out` and exits 0
@@ -33,7 +35,7 @@ import pytest
 
 import horikawa
 from horikawa import blowdown, cli
-from horikawa.classt import ResolutionChain, recognize_class_t
+from horikawa.classt import ResolutionChain, hj_value, recognize_class_t
 from horikawa.cli import run
 from horikawa.lattice import BlownHirzebruch
 
@@ -74,6 +76,41 @@ def test_hj_refuses_chain_with_quotient(extra):
     code, out, err = invoke("hj", *extra, "--chain", "6,2,2")
     assert (code, out) == (2, "")
     assert err == "error: hj takes either --m and --q, or --chain, not both\n"
+
+
+LONG_CHAIN = ",".join(["1000000000"] * 480)
+
+
+def _parsed_without_digit_limit(text):
+    """json.loads on text holding ints past `sys.get_int_max_str_digits()`."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_hj_answer_past_the_digit_limit_is_written_in_full(mode):
+    # m has about 4,320 decimal digits, past CPython's default limit of 4,300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = invoke("hj", "--chain", LONG_CHAIN, *mode)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    quotient = hj_value(ResolutionChain((10**9,) * 480))
+    assert quotient.m.bit_length() > 14_000
+    if mode:
+        assert _parsed_without_digit_limit(out)["invariants"]["quotient"] == {
+            "m": quotient.m,
+            "q": quotient.q,
+        }
+    else:
+        line = next(x for x in out.splitlines() if x.startswith("  quotient: "))
+        m_text, q_text = line[len("  quotient: {m="):-1].split(", q=")
+        assert _parsed_without_digit_limit(f"[{m_text}, {q_text}]") == [quotient.m, quotient.q]
 
 
 def test_class_t_recognize():

@@ -10,6 +10,12 @@ Core claims:
       exceptional indices
     - sums, differences, negatives and integer multiples have plain int
       coefficients, while building a class from a non-integer raises
+    - a class keeps only its nonzero terms: its dense view is the vector it
+      was built from, its arithmetic and pairing match dense oracles (also
+      one long class against a short one), and classes built by different
+      routes are equal and hash equal
+    - a contraction set names the first pair of chain positions, in row
+      order, whose pairing breaks the plumbing shape, on or off the band
     - the leading-minor definiteness test agrees with an exact sympy oracle,
       also on sparse matrices where the Bareiss pass defers rows
     - on a chain's tridiagonal Gram matrix the leading minors are signed
@@ -22,6 +28,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from horikawa.blowdown import ContractionSet
 from horikawa.lattice import BlownHirzebruch, DivisorClass, _leading_minors
 from horikawa.pipeline import build_en_configuration
 
@@ -89,14 +96,17 @@ coefficients = st.one_of(st.integers(-9, 9), st.booleans())
 
 @st.composite
 def class_pairs(draw):
-    rank = draw(st.integers(1, 8))
-    vectors = st.lists(coefficients, min_size=rank, max_size=rank)
+    """Two classes of one rank up to 40, dense or mostly zero, so their terms differ."""
+    rank = draw(st.integers(1, 40))
+    entries = draw(st.sampled_from([coefficients, st.just(0) | st.just(0) | coefficients]))
+    vectors = st.lists(entries, min_size=rank, max_size=rank)
     return DivisorClass(tuple(draw(vectors))), DivisorClass(tuple(draw(vectors)))
 
 
 @given(class_pairs(), coefficients)
 @example((DivisorClass((True, 2, -3)), DivisorClass((False, True, 0))), True)
 def test_arithmetic_results_have_int_coefficients(pair, k):
+    # against a dense oracle; the result keeps only nonzero terms, in index order
     a, b = pair
     expected = [
         [x + y for x, y in zip(a.coeffs, b.coeffs)],
@@ -109,6 +119,137 @@ def test_arithmetic_results_have_int_coefficients(pair, k):
         assert type(result) is DivisorClass
         assert list(result.coeffs) == want
         assert all(type(x) is int for x in result.coeffs)
+        assert result.terms == tuple((i, x) for i, x in enumerate(want) if x)
+
+
+# -- sparse terms ----------------------------------------------------------------
+
+def dense_pairing(n, a, b):
+    """-n*a0*b0 + a0*b1 + a1*b0 - sum_i a_i*b_i, on dense vectors."""
+    return -n * a[0] * b[0] + a[0] * b[1] + a[1] * b[0] - sum(x * y for x, y in zip(a[2:], b[2:]))
+
+
+@given(st.lists(coefficients, max_size=12))
+def test_dense_view_is_the_vector_built_from(v):
+    c = DivisorClass(v)
+    assert c.coeffs == tuple(v) and len(c) == len(v)
+    assert c.terms == tuple((i, x) for i, x in enumerate(v) if x)
+    assert all(type(x) is int for x in c.coeffs)
+
+
+@st.composite
+def surface_with_long_and_short(draw):
+    """A surface with up to 40 blow-ups, one class dense and one with a few terms."""
+    surface = draw(surfaces(max_k=40))
+    dense = draw(st.lists(st.integers(-9, 9), min_size=surface.rank, max_size=surface.rank))
+    sparse = [0] * surface.rank
+    for i in draw(st.lists(st.integers(0, surface.rank - 1), max_size=3)):
+        sparse[i] = draw(st.integers(-9, 9))
+    return surface, dense, sparse
+
+
+@given(surface_with_long_and_short(), st.booleans())
+@example((BlownHirzebruch(4, 30), [1] * 32, [0, 0, 1] + [0] * 28 + [-1]), False)
+@example((BlownHirzebruch(4, 30), [3, 5] + [0] * 30, [2, -1] + [7] * 30), True)
+def test_pairing_matches_the_closed_formula(data, swap):
+    surface, a, b = data
+    if swap:
+        a, b = b, a
+    value = dense_pairing(surface.hirzebruch_index, a, b)
+    x, y = DivisorClass(a), DivisorClass(b)
+    assert surface.pairing(x, y) == surface.pairing(y, x) == value
+    assert surface.pairing(x, x) == dense_pairing(surface.hirzebruch_index, a, a)
+
+
+@given(class_pairs())
+def test_classes_built_by_different_routes_are_equal(pair):
+    a, b = pair
+    surface = BlownHirzebruch(3, max(0, len(a) - 2))
+    for same, other in [((a + b) - b, a), (a - a, DivisorClass([0] * len(a))), (-(-a), a)]:
+        assert same == other and hash(same) == hash(other)
+    if len(a) >= 2:
+        assert a - a == surface.zero()
+        assert surface.divisor(*a.coeffs) == a
+        assert surface.linear_combination([(1, a), (2, b), (-2, b)]) == a
+
+
+@given(surfaces(max_k=12))
+def test_basis_classes_equal_their_dense_construction(surface):
+    rank = surface.rank
+    for i in range(1, surface.blowup_count + 1):
+        e = [0] * rank
+        e[1 + i] = 1
+        assert surface.exceptional(i) == DivisorClass(e)
+        assert hash(surface.exceptional(i)) == hash(DivisorClass(e))
+    n = surface.hirzebruch_index
+    canonical = DivisorClass([-2, -(n + 2)] + [1] * surface.blowup_count)
+    assert surface.canonical_class() == canonical
+    assert surface.zero() == DivisorClass([0] * rank) and surface.zero().terms == ()
+    assert surface.c0() == DivisorClass([1] + [0] * (rank - 1))
+    blown = surface.blow_up()
+    assert blown.total_transform(canonical) == DivisorClass(canonical.coeffs + (0,))
+
+
+@given(surfaces(max_k=8), st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 9)), max_size=6))
+def test_linear_combination_matches_repeated_sums(surface, weighted):
+    k = surface.blowup_count
+    classes = [surface.divisor(1, j, *[(i + j) % 3 - 1 for i in range(k)]) for j in range(10)]
+    pairs = [(w, classes[j]) for w, j in weighted]
+    expected = surface.zero()
+    for w, c in pairs:
+        expected = expected + w * c
+    assert surface.linear_combination(pairs) == expected
+
+
+def test_linear_combination_checks_weights_and_ranks():
+    surface = BlownHirzebruch(2, 1)
+    with pytest.raises(TypeError, match="weights must be integers"):
+        surface.linear_combination([(0.5, surface.c0())])
+    with pytest.raises(ValueError, match="rank 3 lattice"):
+        surface.linear_combination([(1, DivisorClass((1, 0)))])
+
+
+def _first_shape_fault(gram):
+    """The message of the first break of the plumbing shape, in row order, as the dense scan finds it."""
+    for bi in [-row[i] for i, row in enumerate(gram)]:
+        if bi < 2:
+            return f"chain class with self-intersection {-bi}; need <= -2"
+    for i, row in enumerate(gram):
+        for j in range(i + 1, len(row)):
+            expected = 1 if j == i + 1 else 0
+            if row[j] != expected:
+                return f"chain positions {i} and {j} pair to {row[j]}, expected {expected}"
+    return None
+
+
+def test_off_band_pairing_names_both_positions():
+    surface = BlownHirzebruch(3, 4)
+    e = [None] + [surface.exceptional(i) for i in range(1, 5)]
+    # a 3-cycle: each pair of classes meets once, so positions 0 and 2 do too
+    cycle = (e[1] - e[2], e[2] - e[3], e[3] - e[1])
+    with pytest.raises(ValueError, match=r"^chain positions 0 and 2 pair to 1, expected 0$"):
+        ContractionSet(surface, (cycle,))
+    # positions 1 and 3 meet: that comes before the broken band entry (2, 3)
+    chain = (e[1] - e[2], e[2] - e[3], e[3] - e[4], e[3] + e[4])
+    with pytest.raises(ValueError, match=r"^chain positions 1 and 3 pair to 1, expected 0$"):
+        ContractionSet(surface, (chain,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(-1, 1), min_size=6, max_size=6), min_size=1, max_size=6))
+def test_contraction_set_reports_the_first_shape_fault(vectors):
+    surface = BlownHirzebruch(2, 6)
+    chain = []
+    for v in vectors:
+        c = surface.divisor(0, 0, *v)
+        if c not in chain:
+            chain.append(c)
+    fault = _first_shape_fault(surface.gram(chain))
+    if fault is None:
+        return
+    with pytest.raises(ValueError) as info:
+        ContractionSet(surface, (chain,))
+    assert str(info.value) == fault
 
 
 # -- canonical class and adjunction -------------------------------------------

@@ -5,19 +5,24 @@ Core claims:
       lists, tuples, str, int, bool, None and Fraction), the writer's text
       equals `json.dumps(indent=2)` with Fraction mapped to {"num", "den"}
     - a float, a non-str key or any other object raises TypeError naming it,
-      wherever it sits in the payload
+      wherever it sits in the payload, also next to ints or Fractions in a list
+    - a list mixing int and bool keeps its bools as true/false
+    - an int past CPython's int-to-str digit limit is written digit for
+      digit, alone, in a list and inside a Fraction, and the limit is left
+      as it was
 """
 
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horikawa.report import write_json
+from horikawa.report import _decimal, write_json
 
 
 def _num_den(value):
@@ -78,3 +83,54 @@ def test_writer_refuses_other_types_and_writes_nothing(body, named):
     with pytest.raises(TypeError, match="cannot serialize .*" + re.escape(named)):
         write_json(body, out)
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [([1, 2.0], "2.0"), ([Fraction(1, 2), 3, 0.25], "0.25"), ([True, 1, 1.0], "1.0")],
+    ids=["int-then-float", "float-after-fraction", "bool-int-float"],
+)
+def test_writer_refuses_a_float_among_ints(body, named):
+    out = io.StringIO()
+    with pytest.raises(TypeError, match="cannot serialize " + re.escape(named)):
+        write_json(body, out)
+    assert out.getvalue() == ""
+
+
+@given(st.lists(st.integers(-5, 5) | st.booleans(), min_size=1, max_size=8))
+@example([1, True, 0, False])
+def test_bools_among_ints_stay_bools(values):
+    assert _written(values) == json.dumps(values, indent=2) + "\n"
+
+
+def _digits_without_limit(value):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+HUGE = 7**6000  # 5,071 digits
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-(10**6000), 10**6000) | st.integers(-HUGE * 3, HUGE * 3) | st.sampled_from(
+    [0, -1, 10**4299, 10**4300, -(10**4300), 10**5000 - 1, 10**1000 * HUGE]
+))
+def test_decimal_writes_every_digit(value):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert _decimal(value) == _digits_without_limit(value)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_writer_writes_ints_past_the_digit_limit():
+    digits = _digits_without_limit(HUGE)
+    body = {"m": -HUGE, "list": [1, HUGE], "q": Fraction(1, HUGE)}
+    assert _written(body) == (
+        '{\n  "m": -' + digits + ',\n  "list": [\n    1,\n    ' + digits + "\n  ],\n"
+        '  "q": {\n    "num": 1,\n    "den": ' + digits + "\n  }\n}\n"
+    )
